@@ -50,14 +50,16 @@ std::string
 configKeyBase(const std::string &workload, const ExperimentConfig &cfg)
 {
     return strformat(
-        "%s|gpus=%u|scheme=%s|batch=%d/%u|otp=%ux|aes=%u|meta=%d|"
-        "scale=%g|seed=%llu|comm=%u|dyn=%u/%g/%g/%u/%u|memprot=%d|"
+        "%s|gpus=%u|scheme=%s|batch=%d/%u|otp=%ux|aes=%llu|meta=%d|"
+        "scale=%g|seed=%llu|comm=%llu|dyn=%llu/%g/%g/%u/%u|memprot=%d|"
         "strong=%d|padstall=%u",
         workload.c_str(), cfg.numGpus, otpSchemeName(cfg.scheme),
         cfg.batching ? 1 : 0, cfg.batchSize, cfg.otpMult,
-        cfg.aesLatency, cfg.countMetadataBytes ? 1 : 0, cfg.scale,
+        static_cast<unsigned long long>(cfg.aesLatency),
+        cfg.countMetadataBytes ? 1 : 0, cfg.scale,
         static_cast<unsigned long long>(cfg.seed),
-        cfg.commSampleInterval, cfg.dynParams.interval,
+        static_cast<unsigned long long>(cfg.commSampleInterval),
+        static_cast<unsigned long long>(cfg.dynParams.interval),
         cfg.dynParams.alpha, cfg.dynParams.beta,
         cfg.dynParams.confidenceDir, cfg.dynParams.confidencePeer,
         cfg.hostMemProtect, cfg.strongScaling ? 1 : 0,

@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mgsec
@@ -29,31 +32,15 @@ Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
                  params_.assoc);
     num_sets_ = static_cast<std::uint32_t>(blocks / params_.assoc);
     MGSEC_ASSERT(isPow2(num_sets_), "set count must be a power of two");
+    block_shift_ = std::countr_zero(params_.blockSize);
+    tag_shift_ = block_shift_ + std::countr_zero(num_sets_);
+    granule_shift_ = std::countr_zero(std::max(kPageBytes, params_.blockSize));
     lines_.resize(blocks);
 
     regStat(hits_);
     regStat(misses_);
     regStat(evictions_);
     regStat(writebacks_);
-}
-
-std::uint32_t
-Cache::setIndex(std::uint64_t addr) const
-{
-    return static_cast<std::uint32_t>((addr / params_.blockSize) &
-                                      (num_sets_ - 1));
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t addr) const
-{
-    return (addr / params_.blockSize) / num_sets_;
-}
-
-std::uint64_t
-Cache::blockAddr(std::uint64_t tag, std::uint32_t set) const
-{
-    return (tag * num_sets_ + set) * params_.blockSize;
 }
 
 Cache::AccessResult
@@ -91,7 +78,9 @@ Cache::access(std::uint64_t addr, bool write)
         res.victimDirty = victim->dirty;
         if (victim->dirty)
             ++writebacks_;
+        filterRemove(res.victimAddr);
     }
+    filterAdd(addr);
     victim->valid = true;
     victim->dirty = write;
     victim->tag = tag;
@@ -123,6 +112,7 @@ Cache::invalidate(std::uint64_t addr)
         if (base[w].valid && base[w].tag == tag) {
             base[w].valid = false;
             base[w].dirty = false;
+            filterRemove(addr);
             return true;
         }
     }
@@ -133,9 +123,22 @@ std::uint32_t
 Cache::invalidateRange(std::uint64_t base, Bytes len)
 {
     std::uint32_t count = 0;
-    for (std::uint64_t a = base; a < base + len; a += params_.blockSize)
+    const std::uint64_t end = base + len;
+    std::uint64_t a = base;
+    while (a < end) {
+        if (page_filter_[bucketOf(a)] == 0) {
+            // No resident block of this granule: step past it.
+            const std::uint64_t granule_end = std::min(
+                end, ((a >> granule_shift_) + 1) << granule_shift_);
+            const std::uint64_t steps =
+                (granule_end - a + params_.blockSize - 1) >> block_shift_;
+            a += steps << block_shift_;
+            continue;
+        }
         if (invalidate(a))
             ++count;
+        a += params_.blockSize;
+    }
     return count;
 }
 

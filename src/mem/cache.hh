@@ -6,11 +6,17 @@
  * evictions; latency is applied by the callers (the GPU model), which
  * matches how the paper's Table III caches contribute to the remote
  * access path.
+ *
+ * Page shootdowns (invalidateRange on every CU's L1 per migration)
+ * are filtered: a small counting filter tracks how many resident
+ * blocks hash to each page bucket, and a page whose bucket is empty
+ * is skipped without probing its blocks.
  */
 
 #ifndef MGSEC_MEM_CACHE_HH
 #define MGSEC_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,14 +87,57 @@ class Cache : public SimObject
         std::uint64_t lruStamp = 0;
     };
 
-    std::uint32_t setIndex(std::uint64_t addr) const;
-    std::uint64_t tagOf(std::uint64_t addr) const;
-    std::uint64_t blockAddr(std::uint64_t tag, std::uint32_t set) const;
+    std::uint32_t setIndex(std::uint64_t addr) const
+    {
+        return static_cast<std::uint32_t>((addr >> block_shift_) &
+                                          (num_sets_ - 1));
+    }
+    std::uint64_t tagOf(std::uint64_t addr) const
+    {
+        return addr >> tag_shift_;
+    }
+    std::uint64_t blockAddr(std::uint64_t tag, std::uint32_t set) const
+    {
+        return (tag << tag_shift_) |
+               (static_cast<std::uint64_t>(set) << block_shift_);
+    }
+
+    /**
+     * Filter bucket of the page (or the block, when blocks are larger
+     * than pages) holding @p addr.
+     */
+    std::size_t bucketOf(std::uint64_t addr) const
+    {
+        return static_cast<std::size_t>(
+            ((addr >> granule_shift_) * 0x9E3779B97F4A7C15ULL) >> 56);
+    }
+    /**
+     * Count a block in or out of its bucket. A bucket that reaches
+     * 255 sticks there: it then over-counts, which only costs a
+     * wasted probe, never a skipped resident block.
+     */
+    void filterAdd(std::uint64_t addr)
+    {
+        std::uint8_t &c = page_filter_[bucketOf(addr)];
+        if (c != UINT8_MAX)
+            ++c;
+    }
+    void filterRemove(std::uint64_t addr)
+    {
+        std::uint8_t &c = page_filter_[bucketOf(addr)];
+        if (c != UINT8_MAX)
+            --c;
+    }
 
     CacheParams params_;
     std::uint32_t num_sets_;
+    unsigned block_shift_ = 0;   ///< log2(blockSize)
+    unsigned tag_shift_ = 0;     ///< log2(blockSize * num_sets_)
+    unsigned granule_shift_ = 0; ///< log2(max(kPageBytes, blockSize))
     std::vector<Line> lines_;
     std::uint64_t lru_clock_ = 0;
+    /** Resident blocks per page bucket; see bucketOf(). */
+    std::array<std::uint8_t, 256> page_filter_{};
 
     stats::Scalar hits_{"hits", "cache hits"};
     stats::Scalar misses_{"misses", "cache misses"};

@@ -2,24 +2,35 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single global-ordered queue of (tick, sequence) keyed callbacks.
- * Events scheduled for the same tick execute in scheduling (FIFO)
- * order, which every higher-level component relies on for in-order
- * link delivery and deterministic replays.
+ * A single global-ordered queue of (tick, priority, sequence) keyed
+ * callbacks. Events scheduled for the same tick and priority execute
+ * in scheduling (FIFO) order, which every higher-level component
+ * relies on for in-order link delivery and deterministic replays.
  *
- * Cancellation is lazy: cancel() only removes the event's id from
- * the pending set, and the heap entry is discarded when it surfaces.
- * The pending set doubles as the liveness oracle, so the steady-state
- * cost per executed event is one hash insert (schedule) and one hash
- * erase (pop) — there is no separate cancelled set to consult on the
- * hot path.
+ * Storage is split in two so the heap never moves a callback:
+ *  - a slab of {seq, Callback} slots with a free list. schedule()
+ *    moves the callback into a free slot once; the event's seq
+ *    stamped on the slot marks it live.
+ *  - a 4-ary min-heap of 24-byte keys (when, pri<<56 | seq, slot).
+ *    Sifts copy keys only, and a 4-ary heap halves the depth of a
+ *    binary one.
+ *
+ * Cancellation is lazy: cancel() checks that the slot still carries
+ * the id's seq, clears the stamp and destroys the callback; the key
+ * stays in the heap. A popped key whose slot no longer carries its
+ * seq is such a leftover: the key is dropped and only then is the
+ * slot freed, so a slot is never reused while a key points at it
+ * and a stale EventId can never cancel the slot's next tenant.
+ *
+ * Before running, the callback is moved out of its slot and the
+ * slot freed. It never runs in place, because the callback may
+ * schedule and grow the slab under itself.
  *
  * Steady-state schedule()/runOne() perform no heap allocation:
- * callbacks live inline in the heap entry (InplaceCallback — an
- * oversized capture is a compile error, not a malloc), the pending
- * set is a flat open-addressing table, and reserve() pre-sizes both
- * containers from a caller-supplied event ceiling so neither grows
- * mid-run.
+ * callbacks live inline in their slot (InplaceCallback — an
+ * oversized capture is a compile error, not a malloc), and reserve()
+ * pre-sizes the heap, the slab and the free list from a
+ * caller-supplied event ceiling so none of them grows mid-run.
  */
 
 #ifndef MGSEC_SIM_EVENT_QUEUE_HH
@@ -29,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/flat_set.hh"
 #include "sim/inplace_function.hh"
 #include "sim/types.hh"
 
@@ -63,9 +73,13 @@ enum EventPri : std::uint8_t
 struct EventId
 {
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0; ///< slab slot the event occupies
 
     bool valid() const { return seq != 0; }
-    bool operator==(const EventId &o) const { return seq == o.seq; }
+    bool operator==(const EventId &o) const
+    {
+        return seq == o.seq && slot == o.slot;
+    }
 };
 
 /**
@@ -91,7 +105,7 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Pre-size the heap and pending set for @p expected_pending
+     * Pre-size the key heap, slab and free list for @p expected_pending
      * simultaneously-live events so steady-state scheduling never
      * reallocates. A hint smaller than the real peak only costs the
      * usual amortized growth; it never affects results.
@@ -105,14 +119,20 @@ class EventQueue
      */
     EventId schedule(Tick when, Callback cb)
     {
-        return schedule(when, kPriNormal, std::move(cb));
+        return push(when, kPriNormal, cb);
     }
 
     /** Schedule with an explicit same-tick ordering class. */
-    EventId schedule(Tick when, EventPri pri, Callback cb);
+    EventId schedule(Tick when, EventPri pri, Callback cb)
+    {
+        return push(when, pri, cb);
+    }
 
     /** Schedule @p cb to run @p delta ticks from now. */
-    EventId scheduleIn(Cycles delta, Callback cb);
+    EventId scheduleIn(Cycles delta, Callback cb)
+    {
+        return push(now_ + delta, kPriNormal, cb);
+    }
 
     /**
      * Cancel a pending event.
@@ -193,44 +213,52 @@ class EventQueue
     void setProfiler(Profiler *prof) { profiler_ = prof; }
 
   private:
-    struct Entry
+    /** Heap key; ordered by (when, order). */
+    struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        EventPri pri;
+        std::uint64_t order; ///< pri << kPriShift | seq
+        std::uint32_t slot;
+    };
+
+    struct Slot
+    {
+        std::uint64_t seq = 0; ///< 0 while free or cancelled
         Callback cb;
     };
 
-    struct Later
+    static constexpr unsigned kPriShift = 56;
+    static constexpr std::uint64_t kSeqMask =
+        (std::uint64_t{1} << kPriShift) - 1;
+
+    static bool
+    before(const Key &a, const Key &b)
     {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.pri != b.pri)
-                return a.pri > b.pri;
-            return a.seq > b.seq;
-        }
-    };
+        return a.when != b.when ? a.when < b.when : a.order < b.order;
+    }
 
-    /** Pop the (when, seq)-least entry, moving it out of the heap. */
-    Entry popTop();
-    /** Advance time to @p e and run its callback. */
-    void execute(Entry &e);
+    /** True when @p k's slot still holds the event @p k was made for. */
+    bool
+    live(const Key &k) const
+    {
+        return slots_[k.slot].seq == (k.order & kSeqMask);
+    }
 
-    /**
-     * Min-heap on (when, seq), managed with std::push_heap /
-     * std::pop_heap rather than std::priority_queue so entries can
-     * be *moved* out on pop — priority_queue::top() would force a
-     * copy of every callback's std::function state.
-     */
-    std::vector<Entry> heap_;
-    /**
-     * Seqs scheduled but not yet executed or cancelled. A popped
-     * heap entry whose seq is absent here was lazily cancelled.
-     */
-    FlatSeqSet pending_ids_;
+    /** Move @p cb into a slot and push its key. */
+    EventId push(Tick when, EventPri pri, Callback &cb);
+    /** Remove the heap top (the caller has read it). */
+    void popTop();
+    /** Drop the heap top, a lazily-cancelled leftover, freeing its slot. */
+    void dropTop();
+    /** Pop the (live) heap top and run its callback. */
+    void runTop();
+
+    /** 4-ary min-heap of keys. */
+    std::vector<Key> heap_;
+    /** Callback slab; a slot is owned by exactly one key while used. */
+    std::vector<Slot> slots_;
+    /** Unused slots, reused LIFO. */
+    std::vector<std::uint32_t> free_;
     Tick now_ = 0;
     DomainId domain_id_ = 0;
     std::uint64_t next_seq_ = 1;

@@ -5,14 +5,54 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
+#include <new>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "mem/tlb.hh"
 #include "sim/event_queue.hh"
 
 using namespace mgsec;
+
+namespace
+{
+
+/** Global operator new calls, for the allocation-free tests below. */
+std::atomic<std::uint64_t> g_news{0};
+
+} // anonymous namespace
+
+// The replacements pair malloc with free on purpose; GCC cannot see
+// that both sides are replaced and warns about the mix.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void *
+operator new(std::size_t n)
+{
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n != 0 ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 TEST(EventQueue, StartsAtTickZeroAndEmpty)
 {
@@ -312,8 +352,7 @@ TEST(EventQueue, ReservePreservesSemantics)
 
 TEST(EventQueue, RandomizedScheduleCancelStress)
 {
-    // Hammers the flat open-addressing pending set (insert, erase
-    // with backward-shift deletion, lookup) with a deterministic
+    // Hammers the slot slab and its seq stamps with a deterministic
     // random schedule/cancel mix and checks exactly the surviving
     // events fire.
     constexpr int kEvents = 20000;
@@ -342,6 +381,270 @@ TEST(EventQueue, RandomizedScheduleCancelStress)
     EXPECT_EQ(fired, expected);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.executed(), expected.size());
+}
+
+TEST(EventQueue, CancelledHeadPastUntilIsDropped)
+{
+    // The head is a cancelled leftover beyond the bound: run() drops
+    // it (freeing its slot) but must keep the live event behind it.
+    EventQueue eq;
+    EventId a = eq.schedule(30, []() {});
+    bool ran = false;
+    eq.schedule(40, [&]() { ran = true; });
+    EXPECT_TRUE(eq.cancel(a));
+    EXPECT_EQ(eq.run(20), 0u);
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.nextPendingTick(), 40u);
+    EXPECT_FALSE(eq.cancel(a));
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, StaleIdCannotCancelSlotReuser)
+{
+    // Slots are recycled; a stale handle to a slot's earlier tenant
+    // must not cancel the current one.
+    EventQueue eq;
+    EventId old = eq.schedule(1, []() {});
+    eq.run();
+    bool ran = false;
+    EventId fresh = eq.schedule(2, [&]() { ran = true; });
+    EXPECT_EQ(fresh.slot, old.slot);
+    EXPECT_FALSE(eq.cancel(old));
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_TRUE(ran);
+}
+
+namespace
+{
+
+/**
+ * Runs an EventQueue in lockstep with a reference model: a multimap
+ * keyed (when, pri), whose insertion order within equal keys is the
+ * FIFO the queue promises. Every callback checks it is the model's
+ * head, then replays a random plan (cancel some id, schedule a
+ * child) on both sides.
+ */
+class EqDifferential
+{
+  public:
+    explicit EqDifferential(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    step()
+    {
+        switch (rng_() % 8) {
+          case 0:
+          case 1:
+          case 2:
+            add(eq_.now() + rng_() % 24, randomPri());
+            break;
+          case 3:
+            cancelBoth(randomTag());
+            break;
+          case 4: {
+            const std::uint64_t before = fired_;
+            const bool ran = eq_.runOne();
+            EXPECT_EQ(ran, fired_ == before + 1);
+            if (!ran) {
+                EXPECT_TRUE(model_.empty());
+            }
+            break;
+          }
+          case 5:
+          case 6: {
+            const Tick until = eq_.now() + rng_() % 32;
+            const std::uint64_t max = rng_() % 4 == 0 ? rng_() % 6
+                                                      : UINT64_MAX;
+            const std::uint64_t before = fired_;
+            const std::uint64_t n = eq_.run(until, max);
+            EXPECT_EQ(n, fired_ - before);
+            if (n < max) {
+                EXPECT_TRUE(model_.empty() ||
+                            model_.begin()->first.first > until);
+            }
+            break;
+          }
+          default:
+            EXPECT_EQ(eq_.nextPendingTick(),
+                      model_.empty() ? MaxTick
+                                     : model_.begin()->first.first);
+            break;
+        }
+        EXPECT_EQ(eq_.pending(), model_.size());
+        EXPECT_EQ(eq_.empty(), model_.empty());
+    }
+
+    void
+    drain()
+    {
+        eq_.run();
+        EXPECT_TRUE(model_.empty());
+        EXPECT_EQ(eq_.executed(), fired_);
+    }
+
+    std::uint64_t fired() const { return fired_; }
+    std::uint64_t cancels() const { return cancels_; }
+
+  private:
+    using Model = std::multimap<std::pair<Tick, int>, int>;
+
+    struct Plan
+    {
+        int cancel = -1;    ///< tag to cancel when fired, or -1
+        bool child = false; ///< schedule one more event when fired
+    };
+
+    EventPri
+    randomPri()
+    {
+        return rng_() % 4 == 0 ? kPriWire : kPriNormal;
+    }
+
+    /** Any tag ever issued: live, fired or cancelled. */
+    int
+    randomTag()
+    {
+        return ids_.empty() ? -1 : static_cast<int>(rng_() % ids_.size());
+    }
+
+    void
+    add(Tick when, EventPri pri)
+    {
+        const int tag = static_cast<int>(ids_.size());
+        Plan plan;
+        if (rng_() % 3 == 0)
+            plan.cancel = randomTag();
+        plan.child = rng_() % 3 == 0;
+        plans_.push_back(plan);
+        ids_.push_back(eq_.schedule(when, pri, [this, tag]() {
+            fire(tag);
+        }));
+        live_.push_back(model_.emplace(std::make_pair(when, int{pri}),
+                                       tag));
+        alive_.push_back(true);
+    }
+
+    void
+    cancelBoth(int tag)
+    {
+        if (tag < 0)
+            return;
+        const std::size_t t = static_cast<std::size_t>(tag);
+        const bool expect = alive_[t];
+        if (expect) {
+            model_.erase(live_[t]);
+            alive_[t] = false;
+            ++cancels_;
+        }
+        EXPECT_EQ(eq_.cancel(ids_[t]), expect) << "tag " << tag;
+    }
+
+    void
+    fire(int tag)
+    {
+        ASSERT_FALSE(model_.empty());
+        const auto head = model_.begin();
+        EXPECT_EQ(head->second, tag);
+        EXPECT_EQ(head->first.first, eq_.now());
+        alive_[static_cast<std::size_t>(head->second)] = false;
+        model_.erase(head);
+        ++fired_;
+        const Plan plan = plans_[static_cast<std::size_t>(tag)];
+        cancelBoth(plan.cancel);
+        if (plan.child)
+            add(eq_.now() + rng_() % 8, randomPri());
+    }
+
+    EventQueue eq_;
+    std::mt19937_64 rng_;
+    Model model_;
+    std::vector<EventId> ids_;
+    std::vector<Model::iterator> live_;
+    std::vector<bool> alive_;
+    std::vector<Plan> plans_;
+    std::uint64_t fired_ = 0;
+    std::uint64_t cancels_ = 0;
+};
+
+} // anonymous namespace
+
+TEST(EventQueue, MatchesOrderedMultimapModel)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        EqDifferential d(seed);
+        for (int i = 0; i < 4000; ++i)
+            d.step();
+        d.drain();
+        EXPECT_GT(d.fired(), 0u);
+        EXPECT_GT(d.cancels(), 0u);
+        if (::testing::Test::HasFailure())
+            break;
+    }
+}
+
+TEST(EventQueue, WarmChurnAllocatesNothing)
+{
+    // After reserve(), steady-state schedule/runOne/cancel must not
+    // touch the allocator: callbacks live inline in slab slots.
+    EventQueue eq;
+    eq.reserve(4096);
+    std::mt19937 rng(3);
+    std::uint64_t fired = 0;
+    struct Rearm
+    {
+        EventQueue *eq;
+        std::mt19937 *rng;
+        std::uint64_t *fired;
+
+        void
+        operator()() const
+        {
+            ++*fired;
+            eq->scheduleIn(1 + (*rng)() % 256, *this);
+        }
+    };
+    for (int i = 0; i < 512; ++i)
+        eq.scheduleIn(1 + rng() % 256, Rearm{&eq, &rng, &fired});
+    const auto churn = [&](int ops) {
+        for (int i = 0; i < ops; ++i) {
+            eq.runOne();
+            if (i % 4 == 0) {
+                EventId id = eq.scheduleIn(1 + rng() % 256, []() {});
+                eq.cancel(id);
+            }
+        }
+    };
+    churn(20000);
+    const std::uint64_t before = g_news.load();
+    churn(100000);
+    EXPECT_EQ(g_news.load() - before, 0u);
+    EXPECT_GT(fired, 100000u);
+    EXPECT_EQ(eq.pending(), 512u);
+}
+
+TEST(TlbAlloc, WarmLookupAndInvalidateAllocateNothing)
+{
+    EventQueue eq;
+    Tlb t("t", eq, TlbParams{64, 1});
+    std::mt19937 rng(5);
+    const auto churn = [&](int ops) {
+        for (int i = 0; i < ops; ++i) {
+            const std::uint64_t page = rng() % 200;
+            if (rng() % 8 == 0)
+                t.invalidate(page);
+            else
+                t.lookup(page);
+        }
+    };
+    churn(5000);
+    const std::uint64_t before = g_news.load();
+    churn(50000);
+    EXPECT_EQ(g_news.load() - before, 0u);
+    EXPECT_GT(t.evictions(), 0u);
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

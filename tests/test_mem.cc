@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/hbm.hh"
 #include "mem/page_table.hh"
@@ -107,6 +110,90 @@ TEST(Cache, InvalidateRangeCoversPage)
         c.access(a, false);
     EXPECT_EQ(c.invalidateRange(0, 4096), 64u);
 }
+
+/**
+ * invalidateRange (with its page filter) against per-block
+ * invalidate() on a twin cache fed the same accesses. Covers resident
+ * and absent pages, unaligned and multi-page ranges, and buckets
+ * driven to saturation on the large geometry.
+ */
+class CacheShootdown : public ::testing::TestWithParam<CacheParams>
+{};
+
+TEST_P(CacheShootdown, MatchesPerBlockInvalidate)
+{
+    const CacheParams geom = GetParam();
+    EventQueue eq;
+    Cache fast("fast", eq, geom);
+    Cache ref("ref", eq, geom);
+    const std::uint64_t blocks = geom.size / geom.blockSize;
+    // Enough pages to overfill the cache twice over.
+    const std::uint64_t pages = blocks * geom.blockSize * 2 / kPageBytes;
+    std::mt19937_64 rng(geom.size + geom.assoc);
+
+    const auto touch = [&](std::uint64_t addr) {
+        const bool write = rng() % 4 == 0;
+        const Cache::AccessResult a = fast.access(addr, write);
+        const Cache::AccessResult b = ref.access(addr, write);
+        ASSERT_EQ(a.hit, b.hit);
+        ASSERT_EQ(a.evicted, b.evicted);
+        ASSERT_EQ(a.victimAddr, b.victimAddr);
+        ASSERT_EQ(a.victimDirty, b.victimDirty);
+    };
+    const auto shootdown = [&](std::uint64_t base, Bytes len) {
+        std::uint32_t want = 0;
+        for (std::uint64_t a = base; a < base + len; a += geom.blockSize)
+            want += ref.invalidate(a) ? 1 : 0;
+        ASSERT_EQ(fast.invalidateRange(base, len), want)
+            << "base " << base << " len " << len;
+    };
+
+    // Fill every line, then mix accesses with shootdowns.
+    for (std::uint64_t b = 0; b < blocks; ++b)
+        touch(b * geom.blockSize);
+    std::uint32_t dropped = 0;
+    for (int round = 0; round < 4000; ++round) {
+        for (int i = 0; i < 32; ++i)
+            touch((rng() % pages) * kPageBytes + rng() % kPageBytes);
+        const std::uint64_t page = rng() % (pages + 64);
+        switch (rng() % 4) {
+          case 0: // unaligned start, partial length
+            shootdown(page * kPageBytes + rng() % kPageBytes,
+                      1 + rng() % kPageBytes);
+            break;
+          case 1: // several pages at once
+            shootdown(page * kPageBytes, kPageBytes * (1 + rng() % 3));
+            break;
+          default: {
+            const std::uint64_t before = fast.hits() + fast.misses();
+            shootdown(page * kPageBytes, kPageBytes);
+            EXPECT_EQ(fast.hits() + fast.misses(), before);
+            break;
+          }
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+        dropped += fast.invalidateRange(page * kPageBytes, 0);
+    }
+    EXPECT_EQ(dropped, 0u);
+    for (std::uint64_t p = 0; p < pages + 64; ++p)
+        for (std::uint64_t a = 0; a < kPageBytes; a += geom.blockSize)
+            ASSERT_EQ(fast.contains(p * kPageBytes + a),
+                      ref.contains(p * kPageBytes + a));
+    EXPECT_EQ(fast.hits(), ref.hits());
+    EXPECT_EQ(fast.misses(), ref.misses());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableIII, CacheShootdown,
+    ::testing::Values(
+        CacheParams{16 * 1024, 4, kBlockBytes, 1},       // CU L1
+        CacheParams{2 * 1024 * 1024, 16, kBlockBytes, 20}, // GPU L2
+        CacheParams{8 * 1024 * 1024, 16, kBlockBytes, 30}), // CPU LLC
+    [](const ::testing::TestParamInfo<CacheParams> &info) {
+        return "kib" + std::to_string(info.param.size / 1024) + "x" +
+               std::to_string(info.param.assoc);
+    });
 
 TEST(Cache, ContainsHasNoSideEffects)
 {

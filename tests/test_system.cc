@@ -246,3 +246,40 @@ TEST(Experiment, GeomeanAndMean)
     EXPECT_DOUBLE_EQ(mean({1.0, 3.0}), 2.0);
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
 }
+
+TEST(ConfigKey, ExistingKeysAreByteIdentical)
+{
+    // Keys name observability files and key the baseline cache, so a
+    // formatting change must not move a single byte of them.
+    EXPECT_EQ(configKey("mm", ExperimentConfig{}),
+              "mm|gpus=4|scheme=Private|batch=0/16|otp=4x|aes=40|meta=1|"
+              "scale=1|seed=1|comm=0|dyn=1000/0.9/0.5/4096/384|"
+              "memprot=-1|strong=1|padstall=0");
+
+    ExperimentConfig e;
+    e.numGpus = 16;
+    e.scheme = OtpScheme::Dynamic;
+    e.batching = true;
+    e.aesLatency = 80;
+    e.commSampleInterval = 5000;
+    e.dynParams.interval = 2000;
+    e.scale = 0.25;
+    e.seed = 7;
+    EXPECT_EQ(configKey("pr", e),
+              "pr|gpus=16|scheme=Dynamic|batch=1/16|otp=4x|aes=80|meta=1|"
+              "scale=0.25|seed=7|comm=5000|dyn=2000/0.9/0.5/4096/384|"
+              "memprot=-1|strong=1|padstall=0");
+}
+
+TEST(ConfigKey, CycleFieldsFormatPast32Bits)
+{
+    ExperimentConfig e;
+    e.aesLatency = (Cycles{1} << 33) + 5;
+    e.commSampleInterval = Cycles{1} << 32;
+    e.dynParams.interval = (Cycles{1} << 40) + 1;
+    const std::string key = configKey("mm", e);
+    EXPECT_NE(key.find("|aes=8589934597|"), std::string::npos) << key;
+    EXPECT_NE(key.find("|comm=4294967296|"), std::string::npos) << key;
+    EXPECT_NE(key.find("|dyn=1099511627777/"), std::string::npos)
+        << key;
+}

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <random>
+#include <unordered_map>
+
 #include "core/experiment.hh"
 #include "core/system.hh"
 #include "gpu/compute_unit.hh"
@@ -78,6 +82,122 @@ TEST(Tlb, CapacityWorkloadFullyHitsOnSecondPass)
         t.lookup(p);
     for (std::uint64_t p = 0; p < 64; ++p)
         EXPECT_TRUE(t.lookup(p));
+}
+
+namespace
+{
+
+/** The original std::list + unordered_map LRU, as a reference. */
+class RefLru
+{
+  public:
+    explicit RefLru(std::uint32_t entries) : entries_(entries) {}
+
+    bool
+    lookup(std::uint64_t page)
+    {
+        auto it = map_.find(page);
+        if (it != map_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            ++hits;
+            return true;
+        }
+        ++misses;
+        if (lru_.size() >= entries_) {
+            map_.erase(lru_.back());
+            lru_.pop_back();
+            ++evictions;
+        }
+        lru_.push_front(page);
+        map_[page] = lru_.begin();
+        return false;
+    }
+
+    bool resident(std::uint64_t page) const { return map_.count(page); }
+
+    bool
+    invalidate(std::uint64_t page)
+    {
+        auto it = map_.find(page);
+        if (it == map_.end())
+            return false;
+        lru_.erase(it->second);
+        map_.erase(it);
+        return true;
+    }
+
+    void
+    flush()
+    {
+        lru_.clear();
+        map_.clear();
+    }
+
+    std::uint32_t
+    occupancy() const
+    {
+        return static_cast<std::uint32_t>(lru_.size());
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    std::uint32_t entries_;
+    std::list<std::uint64_t> lru_;
+    std::unordered_map<std::uint64_t,
+                       std::list<std::uint64_t>::iterator> map_;
+};
+
+} // anonymous namespace
+
+TEST(Tlb, MatchesListAndMapLru)
+{
+    struct Shape
+    {
+        std::uint32_t entries;
+        std::uint64_t universe; ///< distinct pages in play
+        bool sparse;            ///< pages spread over 64 bits
+    };
+    const Shape shapes[] = {
+        {1, 4, false},     {2, 5, false},      {7, 20, true},
+        {64, 48, false},   {64, 200, false},   {64, 200, true},
+        {1024, 900, false}, {1024, 3000, true},
+    };
+    std::mt19937_64 rng(17);
+    for (const Shape &sh : shapes) {
+        SCOPED_TRACE(sh.entries);
+        EventQueue eq;
+        Tlb t("t", eq, TlbParams{sh.entries, 1});
+        RefLru ref(sh.entries);
+        std::vector<std::uint64_t> pages(sh.universe);
+        for (std::uint64_t i = 0; i < sh.universe; ++i)
+            pages[i] = sh.sparse ? rng() : 0x4000 + i;
+        for (int op = 0; op < 60000; ++op) {
+            const std::uint64_t p = pages[rng() % pages.size()];
+            const unsigned kind = rng() % 100;
+            if (kind < 70) {
+                ASSERT_EQ(t.lookup(p), ref.lookup(p)) << op;
+            } else if (kind < 88) {
+                ASSERT_EQ(t.invalidate(p), ref.invalidate(p)) << op;
+            } else if (kind < 99) {
+                ASSERT_EQ(t.resident(p), ref.resident(p)) << op;
+            } else if (rng() % 20 == 0) {
+                t.flush();
+                ref.flush();
+            }
+            ASSERT_EQ(t.occupancy(), ref.occupancy()) << op;
+        }
+        for (const std::uint64_t p : pages)
+            EXPECT_EQ(t.resident(p), ref.resident(p));
+        EXPECT_EQ(t.hits(), ref.hits);
+        EXPECT_EQ(t.misses(), ref.misses);
+        EXPECT_EQ(t.evictions(), ref.evictions);
+        if (sh.universe > sh.entries) {
+            EXPECT_GT(ref.evictions, 0u);
+        }
+    }
 }
 
 // ------------------------------------------------------------ ComputeUnit
