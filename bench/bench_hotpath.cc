@@ -469,7 +469,7 @@ benchEndToEnd(double scale, bool quick)
     r.wallSec = secondsSince(t0);
 
     r.simCycles = run.cycles;
-    r.events = sys.eventq().executed();
+    r.events = sys.executedEvents();
     r.packets = run.packets;
     r.cyclesPerSec = static_cast<double>(r.simCycles) / r.wallSec;
     r.eventsPerSec = static_cast<double>(r.events) / r.wallSec;
@@ -479,10 +479,10 @@ benchEndToEnd(double scale, bool quick)
 
 // --------------------------------------------------------------------
 // Sharded kernel: one wide (16-GPU) simulation at 1/2/4 sim threads.
-// Reports events/s and speedup over serial, and hard-fails if the
-// parallel kernel breaks either hot-path guarantee: op counts must be
-// thread-count invariant, and warmed worker pools must run the whole
-// simulation without one fresh allocation.
+// Reports events/s and speedup over one worker, and hard-fails if the
+// kernel breaks either guarantee: results must be thread-count
+// invariant, and warmed worker pools must run the whole simulation
+// without one fresh allocation.
 // --------------------------------------------------------------------
 
 struct SimThreadsPoint
@@ -491,7 +491,7 @@ struct SimThreadsPoint
     double wallSec = 0.0;
     std::uint64_t events = 0;
     double eventsPerSec = 0.0;
-    double speedup = 0.0; ///< events/s over the serial run
+    double speedup = 0.0; ///< events/s over the one-worker run
     std::uint64_t pdesWindows = 0;
     std::uint64_t domainCrossings = 0;
     std::uint64_t windowStalls = 0;
@@ -543,13 +543,17 @@ benchSimThreads(double scale, bool quick)
         if (t == 1) {
             serial = run;
         } else {
-            // Thread-count invariance of everything timing-free.
+            // Thread-count invariance: the worker count may change
+            // nothing but wall time.
             if (run.remoteOps != serial.remoteOps ||
                 run.localOps != serial.localOps ||
                 run.migrations != serial.migrations ||
-                run.completed != serial.completed) {
+                run.completed != serial.completed ||
+                run.cycles != serial.cycles ||
+                run.totalBytes != serial.totalBytes) {
                 std::cerr << "FATAL: sharded run (" << t
-                          << " threads) changed operation counts\n";
+                          << " threads) changed operation counts, "
+                          << "cycles or bytes\n";
                 std::exit(1);
             }
             // Satellite guarantee: per-domain queues and preloaded

@@ -31,7 +31,8 @@ struct ExperimentConfig
 
     /**
      * Hint for EventQueue::reserve(): expected peak of pending
-     * events. 0 = auto (sized from the outstanding-request windows).
+     * events per event domain. 0 = auto (sized from the
+     * outstanding-request windows).
      * Purely a performance knob — never changes simulated results.
      */
     std::uint64_t expectedEvents = 0;
@@ -86,13 +87,11 @@ struct ExperimentConfig
     crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
 
     /**
-     * Worker threads for the domain-sharded event kernel
+     * Worker threads of the window event kernel
      * (SystemConfig::simThreads): 0 = auto (MGSEC_SIM_THREADS env,
-     * else serial), 1 = the exact legacy serial path, >= 2 =
-     * conservative-PDES sharding. A host-side speed knob like
-     * cryptoImpl — op counts are thread-count invariant and timing
-     * aggregates agree to well under a percent — so it is NOT part
-     * of configKey.
+     * else 1). A host-side speed knob like cryptoImpl — every thread
+     * count produces byte-identical results — so it is NOT part of
+     * configKey.
      */
     std::uint32_t simThreads = 0;
 

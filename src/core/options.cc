@@ -442,7 +442,7 @@ RunOptions::usage(std::ostream &os)
           "  --crypto-impl I        host crypto tier: auto|portable|"
           "simd (bit-identical results)\n"
           "  --sim-threads N        event-kernel worker threads "
-          "(1 = serial; default MGSEC_SIM_THREADS or 1)\n"
+          "(same results at any N; default MGSEC_SIM_THREADS or 1)\n"
           "  --debug FLAGS          enable trace flags "
           "('help' lists them)\n"
           "  --config FILE          read 'key = value' lines first\n";

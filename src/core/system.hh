@@ -132,22 +132,25 @@ struct SystemConfig
     /** Safety valve: abort runs that exceed this many cycles. */
     Tick maxCycles = 500'000'000;
     /**
-     * Expected peak of simultaneously-pending events; pre-sizes the
-     * event queue so steady-state scheduling never reallocates.
-     * 0 = derive from the node count and outstanding-request windows.
+     * Expected peak of simultaneously-pending events per event
+     * domain (one per node); pre-sizes each domain's queue so
+     * steady-state scheduling never reallocates. 0 = derive from the
+     * outstanding-request windows.
      */
     std::uint64_t expectedEvents = 0;
     /** >0: sample GPU 1's communication mix every N cycles. */
     Cycles commSampleInterval = 0;
 
     /**
-     * Worker threads for the domain-sharded kernel. 1 runs the exact
-     * legacy serial path (byte-identical artifacts); >= 2 shards the
-     * kernel into one event domain per GPU plus a host/fabric domain,
-     * synchronized conservatively at barrier windows of the minimum
-     * cross-domain link latency. 0 = auto: the MGSEC_SIM_THREADS
-     * environment variable if set, else 1. Thread counts beyond the
-     * domain count (numGpus + 1) are clamped.
+     * Worker threads of the window kernel. Every run shards the
+     * simulation into one event domain per GPU plus a host/fabric
+     * domain, synchronized conservatively at barrier windows of the
+     * minimum cross-domain link latency; this only sets how many
+     * threads execute those domains. 1 runs them in turn on the
+     * calling thread. Every count produces byte-identical artifacts.
+     * 0 = auto: the MGSEC_SIM_THREADS environment variable if set,
+     * else 1. Thread counts beyond the domain count (numGpus + 1)
+     * are clamped.
      */
     std::uint32_t simThreads = 0;
 
@@ -191,7 +194,7 @@ struct RunResult
     /** GPU 1 communication mix over time (Fig. 13/14). */
     std::vector<CommSample> commSeries;
 
-    /** @name Sharded-kernel run accounting (1/0s on serial runs). */
+    /** @name Window-kernel run accounting. */
     /// @{
     std::uint32_t simThreads = 1;
     std::uint64_t pdesWindows = 0;
@@ -243,8 +246,8 @@ class MultiGpuSystem
     /**
      * Register the standard gauge set (pad occupancy per (pair,
      * direction), EWMA weights, batch fill, replay span, in-flight
-     * packets, every Scalar stat) on a fresh sampler. Sampling
-     * starts inside run().
+     * packets, every Scalar stat) on a fresh sampler. run() samples
+     * at window barriers.
      */
     void enableMetrics(Cycles interval, std::size_t capacity);
 
@@ -292,16 +295,16 @@ class MultiGpuSystem
 
     /** Resolved worker-thread count (config / env, clamped). */
     std::uint32_t simThreads() const { return sim_threads_; }
-    /** True when the run uses the domain-sharded kernel. */
+    /** True when more than one worker thread executes the domains. */
     bool sharded() const { return sim_threads_ > 1; }
     /** Events executed across every domain queue. */
     std::uint64_t executedEvents() const;
 
   private:
     void recordBlock(NodeId src, NodeId dst, Tick t);
-    void sampleComm(Tick tick, bool reschedule);
-    /** The sharded-kernel main loop (run() with simThreads >= 2). */
-    void runParallel();
+    void sampleComm(Tick tick);
+    /** Drive every domain through the window kernel. */
+    void runWindows();
     /** Open the file-backed sinks cfg_.observe asks for. */
     void openObservability();
     /** Flush and close them at the end of run(). */
@@ -311,9 +314,8 @@ class MultiGpuSystem
     WorkloadProfile profile_;
     EventQueue eq_;
     /**
-     * Event domains of a sharded run: [0] wraps eq_ (host/fabric),
-     * [1..numGpus] own one queue per GPU node. Empty on serial runs
-     * so the legacy path constructs nothing new.
+     * Event domains: [0] wraps eq_ (host/fabric), [1..numGpus] own
+     * one queue per GPU node.
      */
     std::vector<std::unique_ptr<Domain>> domains_;
     std::uint32_t sim_threads_ = 1;
@@ -346,23 +348,19 @@ class MultiGpuSystem
         std::deque<Tick> ticks;
     };
     std::vector<BurstState> burst_state_;
-    std::vector<Cycles> burst16_;
-    std::vector<Cycles> burst32_;
     /**
-     * Sharded runs append bursts per source node (the only writer of
-     * a (src, *) row is src's domain thread) and concatenate in node
-     * order at harvest — deterministic without a lock. Serial runs
-     * keep the legacy shared vectors, preserving their global
-     * interleave order byte-for-byte.
+     * Bursts per source node (the only writer of a (src, *) row is
+     * src's domain thread), concatenated in node order at harvest —
+     * deterministic without a lock.
      */
-    std::vector<std::vector<Cycles>> burst16_by_src_;
-    std::vector<std::vector<Cycles>> burst32_by_src_;
+    std::vector<std::vector<Cycles>> burst16_;
+    std::vector<std::vector<Cycles>> burst32_;
 
     std::vector<std::uint64_t> prev_sends_to_;
     std::uint64_t prev_recvs_ = 0;
     std::vector<CommSample> comm_series_;
 
-    /** @name Sharded-kernel run state */
+    /** @name Window-kernel run state */
     /// @{
     std::uint64_t pdes_windows_ = 0;
     std::uint64_t pdes_crossings_ = 0;
@@ -371,7 +369,7 @@ class MultiGpuSystem
     Tick metrics_due_ = 0;
     Tick comm_due_ = 0;
     /** max over domains of eq().now() when the kernel exited. */
-    Tick parallel_end_ = 0;
+    Tick end_tick_ = 0;
     /** Worker packet-pool deltas, accumulated under pool_mu_. */
     std::mutex pool_mu_;
     std::uint64_t pool_fresh_packets_ = 0;

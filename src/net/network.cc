@@ -29,7 +29,6 @@ Network::Network(const std::string &name, EventQueue &eq,
                   0.0)
 {
     MGSEC_ASSERT(num_nodes_ >= 2, "need a CPU and at least one GPU");
-    canonical_order_ = topo.kind != TopologyKind::P2p;
     regStat(packets_);
     for (auto &s : class_bytes_)
         regStat(s);
@@ -50,12 +49,11 @@ Network::deliver(Tick when, PacketPtr pkt, EventQueue &eq)
     // still queued returns its in-flight packets to the pool instead
     // of leaking them.
     ++in_flight_;
-    // On canonical-order fabrics the delivery's place among the
-    // arrival tick's events must not depend on when it was scheduled
-    // (send tick under the serial kernel, window barrier under the
-    // sharded one) — kPriWire pins deliveries ahead of local work.
-    const EventPri pri = canonical_order_ ? kPriWire : kPriNormal;
-    eq.schedule(when, pri, [this, p = std::move(pkt)]() mutable {
+    // The delivery's place among the arrival tick's events must not
+    // depend on when it was scheduled (at the send tick's flush, or
+    // at a window barrier) — kPriWire pins deliveries ahead of local
+    // work.
+    eq.schedule(when, kPriWire, [this, p = std::move(pkt)]() mutable {
         --in_flight_;
         MGSEC_ASSERT(handlers_[p->dst] != nullptr,
                      "no handler for node %u", p->dst);
@@ -92,7 +90,7 @@ Network::replayCaptured(
     // identical for every thread count and run. In the system proper
     // each (src, dst) pair has exactly one writer lane, so this is
     // exactly (sendTick, src, dst, push order).
-    std::vector<CapturedSend> window;
+    std::vector<CapturedSend> &window = replay_batch_;
     for (auto &lane : lanes_) {
         for (CapturedSend &c : lane)
             window.push_back(std::move(c));
@@ -111,6 +109,7 @@ Network::replayCaptured(
         EventQueue &dst_eq = queue_of(c.pkt->dst);
         sendOnWire(std::move(c.pkt), c.sendTick, dst_eq);
     }
+    window.clear();
     return n;
 }
 
@@ -121,7 +120,7 @@ Network::send(PacketPtr pkt)
                      pkt->src != pkt->dst,
                  "bad route %u -> %u", pkt->src, pkt->dst);
     if (capture_) {
-        // Record against the *sender's* clock: under the sharded
+        // Record against the *sender's* clock: under the window
         // kernel the caller executes on its domain's queue, not on
         // the network's home queue.
         Domain *dom = Domain::current();
@@ -132,30 +131,26 @@ Network::send(PacketPtr pkt)
         lanes_[lane].push_back(CapturedSend{std::move(pkt), send_tick});
         return;
     }
-    if (canonical_order_) {
-        // Switch-based fabric under the serial kernel: defer the
-        // wire crossing to a same-tick flush so shared-port
-        // reservations happen in the replay sort's (src, dst)
-        // order, not event-scheduling order. Nothing in the system
-        // schedules zero-delay events, so every send at this tick
-        // lands in one batch: the flush event, scheduled during the
-        // tick's first send, outsequences every already-pending
-        // event at this tick.
-        tick_pending_.push_back(CapturedSend{std::move(pkt), now()});
-        if (!flush_scheduled_) {
-            flush_scheduled_ = true;
-            eventq().schedule(now(), [this] { flushTick(); });
-        }
-        return;
+    // Defer the wire crossing to a same-tick flush so port
+    // reservations happen in (src, dst) order, not event-scheduling
+    // order. Nothing schedules zero-delay events, so every send at
+    // this tick lands in one batch: the flush event, scheduled during
+    // the tick's first send, outsequences every already-pending event
+    // at this tick.
+    tick_pending_.push_back(CapturedSend{std::move(pkt), now()});
+    if (!flush_scheduled_) {
+        flush_scheduled_ = true;
+        eventq().schedule(now(), [this] { flushTick(); });
     }
-    sendOnWire(std::move(pkt), now(), eventq());
 }
 
 void
 Network::flushTick()
 {
     flush_scheduled_ = false;
-    std::vector<CapturedSend> batch;
+    // A tamper hook may send() while the batch is on the wire; such
+    // sends queue in the (now empty) tick_pending_ for a fresh flush.
+    std::vector<CapturedSend> &batch = flush_batch_;
     batch.swap(tick_pending_);
     std::stable_sort(batch.begin(), batch.end(),
                      [](const CapturedSend &a, const CapturedSend &b) {
@@ -167,6 +162,7 @@ Network::flushTick()
         MGSEC_ASSERT(c.sendTick == now(), "flush crossed a tick");
         sendOnWire(std::move(c.pkt), c.sendTick, eventq());
     }
+    batch.clear();
 }
 
 void

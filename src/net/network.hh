@@ -64,12 +64,6 @@ class Network : public SimObject
 
     /** The fabric carrying this network's packets. */
     const Topology &topology() const { return *topo_; }
-    /**
-     * True on switch-based fabrics, where the wire order is defined
-     * canonically (see canonical_order_ below) so serial and sharded
-     * kernels agree bit-for-bit on every statistic.
-     */
-    bool canonicalWireOrder() const { return canonical_order_; }
     /** Link class of an (src, dst) crossing on this fabric. */
     LinkType
     linkType(NodeId src, NodeId dst) const
@@ -80,13 +74,24 @@ class Network : public SimObject
     /** Install the receive handler for a node. */
     void setHandler(NodeId node, Handler h);
 
-    /** Route a packet from pkt->src to pkt->dst. */
+    /**
+     * Route a packet from pkt->src to pkt->dst.
+     *
+     * The wire order is canonical on every fabric: sends that share
+     * a tick cross the wire in (src, dst) order, never in
+     * event-scheduling order, and deliveries run at kPriWire ahead of
+     * the arrival tick's local work. Without capture (a bare
+     * EventQueue, e.g. the verify testbed's serial loop) send()
+     * buffers the packet and a same-tick flush event routes the
+     * tick's batch; with capture the barrier replay below applies
+     * the same order.
+     */
     void send(PacketPtr pkt);
 
     /**
-     * @name Sharded-kernel capture mode
+     * @name Window-kernel capture mode
      *
-     * Under the domain-sharded kernel every send() crosses domains
+     * Under the window kernel every send() crosses domains
      * (nodes live in different domains, and wire hops are the only
      * cross-domain edges), so the network is the explicit
      * cross-domain message channel. With capture on, send() only
@@ -224,8 +229,8 @@ class Network : public SimObject
     /** The full wire crossing, parameterized so capture replay can
      *  run it with the sender's tick and the receiver's queue. */
     void sendOnWire(PacketPtr pkt, Tick send_tick, EventQueue &dst_eq);
-    /** Serial-mode canonical flush: route every send buffered at the
-     *  current tick in (src, dst) order. */
+    /** Route every send buffered at the current tick in (src, dst)
+     *  order (the non-capture path of send()). */
     void flushTick();
 
     struct CapturedSend
@@ -249,23 +254,14 @@ class Network : public SimObject
     std::atomic<std::uint64_t> in_flight_{0};
 
     bool capture_ = false;
-    /**
-     * Canonical wire order (switch-based fabrics only). Routing on
-     * nvswitch/hier funnels many flows through shared switch-egress
-     * and trunk ports, so same-tick sends contend far more often
-     * than on p2p — and the serial kernel's inline routing would
-     * reserve those ports in event-scheduling order while the
-     * sharded replay reserves them in (send tick, src, dst) order,
-     * making serial and sharded results drift apart. When set,
-     * serial send() buffers the packet and a same-tick flush event
-     * routes the whole batch in (src, dst) order, matching the
-     * replay sort exactly. p2p keeps the historical inline path so
-     * pre-topology artifacts stay byte-identical.
-     */
-    bool canonical_order_ = false;
     /** Sends buffered at the current tick awaiting flushTick(). */
     std::vector<CapturedSend> tick_pending_;
     bool flush_scheduled_ = false;
+    /** Scratch batches of flushTick() / replayCaptured(), kept as
+     *  members so their capacity survives from tick to tick and
+     *  window to window. */
+    std::vector<CapturedSend> flush_batch_;
+    std::vector<CapturedSend> replay_batch_;
     /** Per-writer capture lanes, indexed by the sending domain's id
      *  (last lane = sends outside any Domain scope, e.g. drains run
      *  between kernel windows on the main thread). Single-writer

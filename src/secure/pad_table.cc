@@ -424,15 +424,15 @@ DynamicPadTable::DynamicPadTable(const std::string &name,
     applied_s_peer_ = s_peer_weight_;
     applied_r_peer_ = r_peer_weight_;
     regStat(adjustments_);
-    scheduleNext();
+    scheduleAdjust();
 }
 
 void
-DynamicPadTable::scheduleNext()
+DynamicPadTable::scheduleAdjust()
 {
     eventq().scheduleIn(params_.interval, [this]() {
         adjust();
-        scheduleNext();
+        scheduleAdjust();
     });
 }
 

@@ -334,7 +334,7 @@ class DynamicPadTable : public PrivatePadTable
     }
 
   private:
-    void scheduleNext();
+    void scheduleAdjust();
 
     /**
      * Split @p total entries across peers proportionally to

@@ -51,14 +51,14 @@ Domain::enableTraceBuffer()
     eq_->setTraceSink(trace_.get());
 }
 
-std::string
-Domain::takeTraceBuf(std::uint64_t &nevents)
+void
+Domain::drainTraceBuf(TraceSink &into)
 {
-    nevents = trace_ ? trace_->takeEvents() : 0;
+    const std::uint64_t nevents = trace_ ? trace_->takeEvents() : 0;
     std::string buf = std::move(trace_buf_).str();
-    trace_buf_.str(std::string());
-    trace_buf_.clear();
-    return buf;
+    into.appendRaw(buf, nevents);
+    buf.clear();
+    trace_buf_.str(std::move(buf));
 }
 
 } // namespace mgsec

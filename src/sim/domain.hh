@@ -1,19 +1,18 @@
 /**
  * @file
- * Event domains for the sharded (conservative-PDES) kernel.
+ * Event domains for the window (conservative-PDES) kernel.
  *
  * A Domain is one shard of the discrete-event kernel: an EventQueue
- * plus the per-domain observability buffers that let a multi-threaded
- * run produce deterministic artifacts. Domains never share SimObjects
- * — core/system.cc partitions objects so that the only cross-domain
- * edges are wire hops through the Network, which the parallel kernel
- * turns into captured messages replayed at barrier windows
- * (sim/parallel_kernel.hh).
+ * plus the per-domain observability buffers that let a run produce
+ * the same deterministic artifacts at any worker count. Domains
+ * never share SimObjects — core/system.cc partitions objects so
+ * that the only cross-domain edges are wire hops through the
+ * Network, which the parallel kernel turns into captured messages
+ * replayed at barrier windows (sim/parallel_kernel.hh).
  *
  * Domain 0 is the host/fabric domain. It wraps an externally owned
- * queue (the system's legacy `eq_`) so the serial code path and every
- * component bound to that queue stay untouched; GPU domains own their
- * queues.
+ * queue (the system's host queue `eq_`, which the CPU, network and
+ * page table are bound to); GPU domains own their queues.
  *
  * The thread-local current() pointer tells code running inside a
  * window which domain's clock it is on — Network::send() uses it to
@@ -54,8 +53,8 @@ class Domain
 
     /**
      * Domain whose window the calling thread is currently executing,
-     * or nullptr outside the parallel kernel (serial runs, barrier
-     * phases).
+     * or nullptr outside the window kernel (plain event loops,
+     * barrier phases).
      */
     static Domain *current();
 
@@ -85,10 +84,12 @@ class Domain
     void enableTraceBuffer();
     TraceSink *traceBuffer() { return trace_.get(); }
     /**
-     * Move the buffered trace bytes out (clearing the buffer) and
-     * report how many events they contain via @p nevents.
+     * Append the buffered trace events to the master sink @p into
+     * and clear the buffer. The buffer keeps its capacity: draining
+     * runs at every barrier, and a fresh buffer each window would
+     * churn the heap.
      */
-    std::string takeTraceBuf(std::uint64_t &nevents);
+    void drainTraceBuf(TraceSink &into);
     /// @}
 
   private:

@@ -115,8 +115,8 @@ class LatencyAttribution
     /// @}
 
     /**
-     * Guard record/fold with an internal mutex for sharded runs,
-     * where every domain thread folds into this one collector.
+     * Guard record/fold with an internal mutex for multi-worker
+     * runs, where every domain thread folds into this one collector.
      * Histogram accumulation is commutative (bucket counts and
      * sums), so the fold order across domains cannot change any
      * recorded value — sharing one collector keeps the conservation

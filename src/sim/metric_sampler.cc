@@ -5,15 +5,12 @@
 #include "sim/json_writer.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-#include "sim/trace_sink.hh"
 
 namespace mgsec
 {
 
-MetricSampler::MetricSampler(EventQueue &eq, Cycles interval,
-                             std::size_t capacity, KeepGoing keep)
-    : eq_(eq), interval_(interval), capacity_(capacity),
-      keep_(std::move(keep))
+MetricSampler::MetricSampler(Cycles interval, std::size_t capacity)
+    : interval_(interval), capacity_(capacity)
 {
     MGSEC_ASSERT(interval_ > 0, "sample interval must be positive");
     MGSEC_ASSERT(capacity_ > 0, "ring capacity must be positive");
@@ -22,7 +19,7 @@ MetricSampler::MetricSampler(EventQueue &eq, Cycles interval,
 void
 MetricSampler::addGauge(std::string name, Gauge g)
 {
-    MGSEC_ASSERT(!started_, "cannot add gauges after start()");
+    MGSEC_ASSERT(ticks_.empty(), "cannot add gauges after sampling");
     MGSEC_ASSERT(g != nullptr, "null gauge '%s'", name.c_str());
     names_.push_back(std::move(name));
     gauges_.push_back(std::move(g));
@@ -43,81 +40,29 @@ MetricSampler::addScalars(const stats::StatGroup &g)
 }
 
 void
-MetricSampler::arm()
-{
-    MGSEC_ASSERT(!started_, "sampler already started");
-    MGSEC_ASSERT(!gauges_.empty(), "no gauges registered");
-    started_ = true;
-    ticks_.assign(capacity_, 0);
-    values_.assign(capacity_ * gauges_.size(), 0.0);
-    size_ = 0;
-    head_ = 0;
-}
-
-void
-MetricSampler::start()
-{
-    arm();
-    scheduleNext();
-}
-
-void
-MetricSampler::startManual()
-{
-    arm();
-}
-
-void
-MetricSampler::scheduleNext()
-{
-    eq_.scheduleIn(interval_, [this]() {
-        sample();
-        if (!keep_ || keep_())
-            scheduleNext();
-    });
-}
-
-void
-MetricSampler::sampleNow()
-{
-    if (started_)
-        sample();
-}
-
-void
 MetricSampler::sampleAt(Tick t)
 {
-    MGSEC_ASSERT(started_, "sampleAt before start");
+    MGSEC_ASSERT(!gauges_.empty(), "no gauges registered");
+    const std::size_t cols = gauges_.size();
     std::size_t row;
     if (size_ < capacity_) {
-        row = rowIndex(size_);
-        ++size_;
+        row = size_++;
+        ticks_.push_back(0);
+        values_.resize(values_.size() + cols);
     } else {
         row = head_;
         head_ = (head_ + 1) % capacity_;
         ++dropped_;
     }
     ticks_[row] = t;
-    double *vals = values_.data() + row * gauges_.size();
-    for (std::size_t c = 0; c < gauges_.size(); ++c)
-        vals[c] = gauges_[c](t);
-    if (trace_) {
-        for (std::size_t c = 0; c < gauges_.size(); ++c)
-            trace_->counter(0, "metric", names_[c].c_str(), t,
-                            vals[c]);
-    }
+    for (std::size_t c = 0; c < cols; ++c)
+        values_[row * cols + c] = gauges_[c](t);
 }
 
 std::size_t
 MetricSampler::rowIndex(std::size_t i) const
 {
     return (head_ + i) % capacity_;
-}
-
-void
-MetricSampler::sample()
-{
-    sampleAt(eq_.now());
 }
 
 Tick

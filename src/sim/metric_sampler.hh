@@ -2,11 +2,14 @@
  * @file
  * Periodic time-series sampling of live simulation metrics.
  *
- * A MetricSampler owns a set of named gauge callbacks and, once
- * started, samples all of them every `interval` simulated cycles
- * into a preallocated ring buffer (sampling itself never allocates).
- * When the ring fills, the oldest rows are overwritten and counted
- * as dropped, so a long run degrades to "most recent window" rather
+ * A MetricSampler owns a set of named gauge callbacks and samples
+ * all of them into a bounded ring buffer whenever its driver calls
+ * sampleAt() — the window kernel does so at barriers, once per due
+ * `interval` tick, when every domain is quiesced. The ring grows in
+ * small blocks as rows arrive, so a run that takes few samples never
+ * allocates (or fragments the heap with) the full capacity. When the
+ * ring fills, the oldest rows are overwritten in place and counted as
+ * dropped, so a long run degrades to "most recent window" rather
  * than unbounded memory. The collected series flush as one JSON
  * document (see writeJson) consumed by METRICS_<run>.json.
  *
@@ -21,18 +24,16 @@
 #define MGSEC_SIM_METRIC_SAMPLER_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace mgsec
 {
-
-class TraceSink;
 
 namespace stats { class StatGroup; }
 
@@ -42,19 +43,15 @@ class MetricSampler
   public:
     /** Reads one metric at the given sample tick. */
     using Gauge = std::function<double(Tick)>;
-    /** Re-arm predicate: sampling stops when this returns false. */
-    using KeepGoing = std::function<bool()>;
 
     /**
-     * @param interval  cycles between samples (> 0).
+     * @param interval  cycles between samples (> 0); the driver's
+     *                  cadence, reported in the JSON.
      * @param capacity  ring rows kept in memory (> 0).
-     * @param keep      optional liveness predicate; without one the
-     *                  sampler re-arms until the queue drains.
      */
-    MetricSampler(EventQueue &eq, Cycles interval, std::size_t capacity,
-                  KeepGoing keep = {});
+    MetricSampler(Cycles interval, std::size_t capacity);
 
-    /** Register a gauge column. Must precede start(). */
+    /** Register a gauge column. Must precede the first sample. */
     void addGauge(std::string name, Gauge g);
 
     /**
@@ -64,30 +61,8 @@ class MetricSampler
      */
     void addScalars(const stats::StatGroup &g);
 
-    /** Schedule the first sample at now + interval. */
-    void start();
-
-    /**
-     * Arm the ring without scheduling any events: the caller drives
-     * sampling explicitly via sampleAt(). The sharded kernel uses
-     * this so gauges reading cross-domain state only run at barrier
-     * windows, when every domain thread is quiesced.
-     */
-    void startManual();
-
-    /** Take one sample immediately (e.g. the end-of-run snapshot). */
-    void sampleNow();
-
-    /** Take one sample recorded at tick @p t (manual mode). */
+    /** Take one sample recorded at tick @p t. */
     void sampleAt(Tick t);
-
-    /**
-     * Mirror every sampled row into @p ts as Chrome counter ("C")
-     * events, one track per column, so metric gauges render as
-     * counter lanes alongside the event timeline. Null detaches.
-     * The sink must outlive the sampler (or be detached first).
-     */
-    void setTraceSink(TraceSink *ts) { trace_ = ts; }
 
     Cycles interval() const { return interval_; }
     std::size_t capacity() const { return capacity_; }
@@ -108,24 +83,16 @@ class MetricSampler
     void writeJson(std::ostream &os) const;
 
   private:
-    void arm();
-    void scheduleNext();
-    void sample();
     std::size_t rowIndex(std::size_t i) const;
 
-    EventQueue &eq_;
     Cycles interval_;
     std::size_t capacity_;
-    KeepGoing keep_;
-    bool started_ = false;
-    TraceSink *trace_ = nullptr;
-
     std::vector<std::string> names_;
     std::vector<Gauge> gauges_;
 
     /** Ring storage: ticks_[r] + values_[r * columns + c]. */
-    std::vector<Tick> ticks_;
-    std::vector<double> values_;
+    std::deque<Tick> ticks_;
+    std::deque<double> values_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;

@@ -22,10 +22,19 @@ ParallelKernel::ParallelKernel(ParallelKernelConfig cfg)
     executed_.assign(cfg_.domains.size(), 0);
 }
 
+namespace
+{
+
+/** Events a lone worker runs between two windowBatch clock reads. */
+constexpr std::uint64_t kBatchEvents = 4096;
+
+} // anonymous namespace
+
 void
 ParallelKernel::runDomains(unsigned worker, Tick window_end)
 {
-    Profiler *prof = cfg_.profiler;
+    // Per-domain clocks only when workers share the windows.
+    Profiler *prof = threads_ > 1 ? cfg_.profiler : nullptr;
     for (std::size_t d = worker; d < cfg_.domains.size();
          d += threads_) {
         Domain &dom = *cfg_.domains[d];
@@ -60,7 +69,7 @@ ParallelKernel::run(Tick from)
     // threads still wait on — either is std::terminate. Every side
     // captures instead; the coordinator notices at the next barrier,
     // shuts the pool down cleanly, and rethrows on the caller so
-    // abnormal exits behave exactly like the serial kernel's.
+    // abnormal exits behave exactly like a plain event loop's.
     std::vector<std::exception_ptr> errors(threads_);
 
     std::barrier<> sync(threads_);
@@ -101,10 +110,25 @@ ParallelKernel::run(Tick from)
     if (cfg_.workerStart)
         cfg_.workerStart(0);
 
+    // Per-window spans belong to multi-worker runs; a lone worker
+    // times whole batches of windows (execution, replay and barrier
+    // hooks alike) so its clock cost stays amortized.
+    Profiler *const prof = threads_ > 1 ? cfg_.profiler : nullptr;
+    Profiler *const batch_prof = threads_ > 1 ? nullptr : cfg_.profiler;
+    std::uint64_t batch_t0 = 0, batch_windows = 0, batch_events = 0;
+    const auto closeBatch = [&]() {
+        if (batch_windows > 0)
+            batch_prof->windowBatch(batch_t0, Profiler::nowNs(),
+                                    batch_windows, batch_events);
+        batch_windows = batch_events = 0;
+    };
+
     while (true) {
         if ((cfg_.done && cfg_.done()) || window_start > cfg_.maxCycles)
             break;
         window_end = window_start + L - 1;
+        if (batch_prof && batch_windows == 0)
+            batch_t0 = Profiler::nowNs();
         if (threads_ > 1)
             sync.arrive_and_wait(); // release workers
         try {
@@ -114,9 +138,7 @@ ParallelKernel::run(Tick from)
         }
         // The coordinator's barrier wait is the straggler gap: time
         // between finishing its own domains and the slowest worker
-        // quiescing. Not measured on serial-fallback runs (no
-        // barrier, the wait is identically zero).
-        Profiler *const prof = cfg_.profiler;
+        // quiescing.
         if (threads_ > 1) {
             if (prof) {
                 const std::uint64_t bw0 = Profiler::nowNs();
@@ -136,8 +158,10 @@ ParallelKernel::run(Tick from)
             break;
 
         std::uint64_t active = 0;
-        for (std::uint64_t n : executed_)
+        for (std::uint64_t n : executed_) {
             active += n > 0 ? 1 : 0;
+            batch_events += n;
+        }
         if (active > 0)
             stalls_ += cfg_.domains.size() - active;
 
@@ -161,6 +185,11 @@ ParallelKernel::run(Tick from)
         }
         if (prof)
             prof->barrierEpilogue();
+        if (batch_prof) {
+            ++batch_windows;
+            if (batch_events >= kBatchEvents)
+                closeBatch();
+        }
 
         // Advance, skipping windows no domain has work in. The
         // exchange above already scheduled every in-flight delivery,
@@ -175,6 +204,8 @@ ParallelKernel::run(Tick from)
         window_start = std::max(window_start + L, (tmin / L) * L);
     }
 
+    if (batch_prof)
+        closeBatch();
     if (threads_ > 1) {
         stop = true;
         sync.arrive_and_wait();

@@ -17,18 +17,14 @@
  * window's start, so the schedule-into-the-past assertion holds by
  * construction.
  *
- * Determinism contract: a parallel run is run-to-run deterministic
- * AND thread-count invariant (2 threads produce byte-identical
- * results to 8), because the domain partition, per-domain execution
- * order, and the barrier merge order are all independent of the
- * thread count. It is NOT event-for-event identical to the serial
- * kernel: same-tick sends from different domains tie-break by pair
- * order at the barrier instead of by global event sequence, and the
- * final window runs to its boundary instead of stopping at the
- * completing event. Timing-independent results (operation counts,
- * migrations, completion) are identical; timing-derived aggregates
- * differ by well under a percent (tests/test_parallel_kernel.cc pins
- * both properties down).
+ * Determinism contract: a run is run-to-run deterministic AND
+ * thread-count invariant — one worker produces byte-identical results
+ * to eight — because the domain partition, the per-domain execution
+ * order and the barrier merge order are all independent of the
+ * thread count. One worker is simply every domain run in turn on the
+ * calling thread, over the same windows and the same capture/replay,
+ * so it is the serial reference every multi-worker run reproduces
+ * exactly (tests/test_parallel_kernel.cc pins this down).
  *
  * Threads are spawned per run() and statically pinned: domain d runs
  * on worker d % threads, so a domain's events — and its thread-local
@@ -92,7 +88,10 @@ struct ParallelKernelConfig
      * Host-side self-profiler, or nullptr when profiling is off.
      * Must have been constructed with the same worker count the
      * kernel ends up using (threads clamped to the domain count), so
-     * each profiler lane is written by exactly one thread.
+     * each profiler lane is written by exactly one thread. Several
+     * workers clock every busy domain in every window; a lone worker
+     * has no barrier or imbalance to measure and clocks batches of
+     * windows instead (Profiler::windowBatch).
      */
     Profiler *profiler = nullptr;
 };

@@ -125,15 +125,15 @@ Profiler::domainExec(DomainId d, std::uint64_t t0, std::uint64_t t1,
 }
 
 void
-Profiler::serialSlice(std::uint64_t t0, std::uint64_t t1,
-                      std::uint64_t events)
+Profiler::windowBatch(std::uint64_t t0, std::uint64_t t1,
+                      std::uint64_t windows, std::uint64_t events)
 {
     record(0, kProfSerialExec, t0, t1);
-    const std::uint64_t dt = t1 >= t0 ? t1 - t0 : 0;
-    lanes_[0].busyNs += dt;
+    lanes_[0].busyNs += t1 >= t0 ? t1 - t0 : 0;
     lanes_[0].events += events;
-    domain_busy_[0] += dt;
-    domain_events_[0] += events;
+    windows_ += windows;
+    if (host_track_)
+        drainHostTrack(0);
 }
 
 void

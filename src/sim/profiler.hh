@@ -55,7 +55,7 @@ class TraceSink;
  */
 enum ProfPhase : std::uint8_t
 {
-    kProfSerialExec = 0, ///< serial kernel: event-loop slices
+    kProfSerialExec = 0, ///< one-worker kernel: batches of windows
     kProfDomainExec,     ///< parallel: per-window per-domain execution
     kProfBarrierWait,    ///< workers parked at window barriers
     kProfCaptureReplay,  ///< coordinator replaying captured sends
@@ -74,10 +74,9 @@ class Profiler
 {
   public:
     /**
-     * @param workers kernel worker threads (1 on serial runs) — one
-     *        span lane each.
-     * @param domains event domains (1 on serial runs) — sizes the
-     *        per-domain busy-time ledger.
+     * @param workers kernel worker threads — one span lane each.
+     * @param domains event domains — sizes the per-domain busy-time
+     *        ledger.
      */
     Profiler(unsigned workers, unsigned domains);
 
@@ -118,11 +117,12 @@ class Profiler
     void domainExec(DomainId d, std::uint64_t t0, std::uint64_t t1,
                     std::uint64_t events);
     /**
-     * One serial event-loop slice (a bounded batch of runOne calls,
-     * timed as a unit so the per-event clock cost stays amortized).
+     * A batch of @p windows whole windows a one-worker kernel ran
+     * (execution, replay and barrier hooks), timed as one serialExec
+     * span on lane 0 so the clock cost stays amortized.
      */
-    void serialSlice(std::uint64_t t0, std::uint64_t t1,
-                     std::uint64_t events);
+    void windowBatch(std::uint64_t t0, std::uint64_t t1,
+                     std::uint64_t windows, std::uint64_t events);
     /// @}
 
     /**
@@ -135,7 +135,7 @@ class Profiler
     /**
      * Attach the wall-clock "host" process track: spans additionally
      * buffer per lane and drain into @p sink as pid-1 complete
-     * events (microsecond timestamps). Coordinator/serial thread
+     * events (microsecond timestamps). Coordinator thread
      * only; emits the track's process/thread metadata immediately.
      */
     void setHostTrack(TraceSink *sink);
@@ -186,7 +186,7 @@ class Profiler
         std::vector<stats::Histogram> hist;
         /** Open-span depth (RAII balance check). */
         std::int64_t depth = 0;
-        /** Events executed by this worker (serial: lane 0). */
+        /** Events executed by this worker. */
         std::uint64_t events = 0;
         /** Execution (domainExec/serialExec) wall time. */
         std::uint64_t busyNs = 0;

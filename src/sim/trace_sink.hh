@@ -55,7 +55,7 @@ class TraceSink
     };
 
     /**
-     * Embedded mode, used for the per-domain buffers of the sharded
+     * Embedded mode, used for the per-domain buffers of the window
      * kernel: no document header or footer is written, and every
      * event is prefixed with ",\n" so the buffered bytes can be
      * spliced verbatim into a master sink's traceEvents array with

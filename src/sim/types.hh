@@ -32,9 +32,10 @@ using NodeId = std::uint32_t;
 constexpr NodeId InvalidNode = static_cast<NodeId>(-1);
 
 /**
- * Identifier of an event domain when the kernel is sharded
+ * Identifier of an event domain of the window kernel
  * (sim/domain.hh). Domain 0 is the host/fabric domain; domains
- * 1..numGpus are the per-GPU domains. A serial run is all domain 0.
+ * 1..numGpus are the per-GPU domains. A queue driven by a plain
+ * event loop is all domain 0.
  */
 using DomainId = std::uint32_t;
 

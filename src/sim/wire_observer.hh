@@ -17,9 +17,9 @@
  * nvlink by default; scale-out fabrics add switch / inter classes
  * via setLinkClasses()). Everything is a commutative multiset fold over packets
  * keyed by departure tick, so the serialized output is byte-identical
- * across --sim-threads worker counts that produce the same wire
- * schedule (the sharded kernel's barrier merge replays captured wire
- * events in a deterministic total order; see docs/OBSERVABILITY.md).
+ * across --sim-threads worker counts (the window kernel's barrier
+ * merge replays captured wire events in a deterministic total order;
+ * see docs/OBSERVABILITY.md).
  *
  * "Control-sized" packets (wire size <= ctlMaxBytes) approximate the
  * adversary's batch-close signature: batch MAC trailers and
@@ -89,7 +89,7 @@ class WireObserver
      * link, departing at @p send_tick and fully delivered at
      * @p arrive_tick. Calls must be ordered by the wire schedule
      * (nondecreasing send_tick per flow); the Network guarantees
-     * this in both the serial and the sharded kernel.
+     * this under the window kernel and a plain event loop alike.
      */
     void onWirePacket(NodeId src, NodeId dst, Bytes bytes,
                       Tick send_tick, Tick arrive_tick);

@@ -65,7 +65,7 @@ struct TestbedConfig
     std::vector<AttackStep> script;
 
     /**
-     * Event-kernel worker threads: 1 = the exact legacy serial path,
+     * Event-kernel worker threads: 1 = one serial event loop,
      * >= 2 = one event domain per node under the conservative-PDES
      * kernel (clamped to numNodes). Sharded campaigns keep every
      * verdict, counter and finding deterministic — only the append
@@ -133,7 +133,7 @@ class VerifyTestbed
     /**
      * Sharded mode only: one event domain per node — domain 0 wraps
      * eq_ (keeping the network, adversary and node 0's channel on the
-     * legacy queue), the rest own their queues. Empty when serial.
+     * host queue), the rest own their queues. Empty when serial.
      */
     std::vector<std::unique_ptr<Domain>> domains_;
     std::uint32_t sim_threads_ = 1;

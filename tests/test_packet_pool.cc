@@ -132,14 +132,15 @@ TEST_F(PacketPoolTest, WholeRunIsBitIdenticalWithPoolingOnAndOff)
 
 TEST_F(PacketPoolTest, SteadyStateRunAllocatesNoPackets)
 {
-    // Pinned to the serial kernel: this test asserts the *calling
-    // thread's* pool counters, a thread-confined contract. A sharded
-    // run drifts packets between worker pools (acquired here,
-    // released on the worker that runs the destination domain), so
-    // per-thread live counts skew by design; the sharded equivalent
-    // — zero fresh allocations summed over the preloaded worker
-    // pools — is asserted by bench_hotpath's simThreads section and
-    // reported in RunResult::poolFreshPackets.
+    // Pinned to one worker (the calling thread): this test asserts
+    // the *calling thread's* pool counters, a thread-confined
+    // contract. A multi-worker run drifts packets between worker
+    // pools (acquired on one worker, released on the worker that
+    // runs the destination domain), so per-thread live counts skew
+    // by design; the multi-worker equivalent — zero fresh
+    // allocations summed over the preloaded worker pools — is
+    // asserted by bench_hotpath's simThreads section and reported
+    // in RunResult::poolFreshPackets.
     ExperimentConfig cfg = smallConfig();
     cfg.simThreads = 1;
 

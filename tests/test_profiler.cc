@@ -133,17 +133,45 @@ TEST(Profiler, OffIsByteIdenticalToOn)
 
 TEST(Profiler, ProfiledRunsThreadCountInvariant)
 {
-    // Serial and sharded runs legitimately differ (windowed ack
-    // batching); the invariants are thread-count independence among
-    // sharded runs and profiler transparency at a fixed count.
+    // Profiled stats are independent of the worker count, and the
+    // profiler is transparent at every count.
     ExperimentConfig cfg = quick();
     cfg.numGpus = 4;
+    cfg.simThreads = 1;
+    const std::string t1 = statsOf(cfg, true);
     cfg.simThreads = 2;
     const std::string t2 = statsOf(cfg, true);
     EXPECT_EQ(t2, statsOf(cfg, false));
     cfg.simThreads = 4;
     const std::string t4 = statsOf(cfg, true);
+    EXPECT_EQ(t1, t2);
     EXPECT_EQ(t2, t4);
+}
+
+TEST(Profiler, OneWorkerTimesBatchesOfWindows)
+{
+    // A lone worker has no barrier to wait on: it times whole
+    // batches of windows as serialExec spans instead of clocking
+    // every domain in every window.
+    ExperimentConfig cfg = quick();
+    cfg.numGpus = 4;
+    cfg.simThreads = 1;
+    const WorkloadProfile profile =
+        makeProfile("mm", cfg.scale, cfg.numGpus);
+    MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+    sys.enableProfiler();
+    const RunResult r = sys.run();
+
+    const Profiler *prof = sys.profiler();
+    ASSERT_NE(prof, nullptr);
+    EXPECT_EQ(prof->activeSpans(), 0);
+    EXPECT_EQ(prof->profiledWindows(), r.pdesWindows);
+    EXPECT_EQ(prof->laneEvents(0), sys.executedEvents());
+    EXPECT_GT(prof->phaseHist(kProfSerialExec).count(), 0u);
+    EXPECT_LT(prof->phaseHist(kProfSerialExec).count(),
+              r.pdesWindows);
+    EXPECT_EQ(prof->phaseHist(kProfDomainExec).count(), 0u);
+    EXPECT_EQ(prof->phaseHist(kProfBarrierWait).count(), 0u);
 }
 
 TEST(Profiler, ParallelRunRecordsWindows)

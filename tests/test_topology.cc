@@ -4,8 +4,8 @@
  * deliver every (src, dst) pair exactly once, preserve FIFO per pair
  * under switch contention, and the default p2p fabric must reproduce
  * the pre-refactor Network's arrival ticks bit for bit. Plus the
- * serial-vs-sharded stats equality gate at 16 GPUs on the new
- * fabrics.
+ * one-worker-vs-four stats equality gate at 16 GPUs on every
+ * fabric.
  */
 
 #include <gtest/gtest.h>
@@ -379,7 +379,8 @@ TEST_P(TopologyShardedEquality, StatsMatchSerialAt16Gpus)
 }
 
 INSTANTIATE_TEST_SUITE_P(Fabrics, TopologyShardedEquality,
-                         ::testing::Values(TopologyKind::NvSwitch,
+                         ::testing::Values(TopologyKind::P2p,
+                                           TopologyKind::NvSwitch,
                                            TopologyKind::Hier),
                          [](const auto &info) {
                              return std::string(

@@ -231,7 +231,7 @@ reportProf(const JsonValue &doc, const std::string &what)
 
     const JsonValue *pdes = doc.find("pdes");
     if (!pdes || num(*pdes, "windows") == 0) {
-        std::printf("pdes: serial run (no barrier windows)\n");
+        std::printf("pdes: no barrier windows recorded\n");
         return true;
     }
     const JsonValue *stall = pdes->find("topStallPhase");
@@ -254,7 +254,10 @@ reportProf(const JsonValue &doc, const std::string &what)
                         num(wv, "busyNs") / 1e6,
                         num(wv, "eventsPerSec"));
     }
-    if (const JsonValue *doms = pdes->find("domains")) {
+    // A lone worker clocks batches of windows, not single domains.
+    const JsonValue *doms =
+        num(doc, "threads") > 1 ? pdes->find("domains") : nullptr;
+    if (doms) {
         std::printf("  %-8s %14s %12s %14s\n", "domain", "events",
                     "busy ms", "windows");
         for (const JsonValue &dv : doms->items)
