@@ -29,14 +29,6 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     Cycles commSampleInterval = 0;
 
-    /**
-     * Hint for EventQueue::reserve(): expected peak of pending
-     * events per event domain. 0 = auto (sized from the
-     * outstanding-request windows).
-     * Purely a performance knob — never changes simulated results.
-     */
-    std::uint64_t expectedEvents = 0;
-
     /** Dynamic allocator hyperparameters (EWMA ablation). */
     DynamicPadTable::Params dynParams{};
 
@@ -108,7 +100,7 @@ SystemConfig makeSystemConfig(const ExperimentConfig &cfg);
 /**
  * Stable textual identity of one (workload, config) run: every knob
  * that can change simulated results, none that cannot (observe
- * paths, expectedEvents). Used to tag per-job observability files.
+ * paths, host speed knobs). Used to tag per-job observability files.
  */
 std::string configKey(const std::string &workload,
                       const ExperimentConfig &cfg);
@@ -116,6 +108,29 @@ std::string configKey(const std::string &workload,
 /** FNV-1a 64-bit hash of configKey(), as 16 hex digits. */
 std::string configHash(const std::string &workload,
                        const ExperimentConfig &cfg);
+
+/**
+ * Point every file sink of @p obs at @p dir under the observe-bundle
+ * names METRICS_/TRACE_/STATS_/HIST_/WIRE_/PROF_<hash>.json, shared
+ * by mgsec_sweep --observe and mgsec_run --observe-dir.
+ */
+void setObservePaths(ObserveConfig &obs, const std::string &dir,
+                     const std::string &hash);
+
+/** One OBSERVE_INDEX.json run: a configHash() and its configKey(). */
+struct ObserveIndexEntry
+{
+    std::string hash;
+    std::string key;
+};
+
+/**
+ * Write @p dir/OBSERVE_INDEX.json naming @p runs, through a tmp file
+ * and a rename so a reader never sees a partial index.
+ * @retval false (after a warning) when it cannot be written.
+ */
+bool writeObserveIndex(const std::string &dir, Cycles interval,
+                       const std::vector<ObserveIndexEntry> &runs);
 
 /** Simulate one workload under one configuration. */
 RunResult runWorkload(const std::string &workload,

@@ -321,12 +321,7 @@ Sweep::run()
     // configuration writes sinks tagged by its config hash, so
     // parallel jobs never share a file name. A duplicate submission
     // (the same config queued twice) keeps only the first writer.
-    struct IndexEntry
-    {
-        std::string hash;
-        std::string key;
-    };
-    std::vector<IndexEntry> observe_index;
+    std::vector<ObserveIndexEntry> observe_index;
     std::set<std::string> observe_seen;
     auto withObserve = [&](const std::string &workload,
                            ExperimentConfig cfg) {
@@ -337,63 +332,26 @@ Sweep::run()
             cfg.observe = ObserveConfig{};
             return cfg;
         }
-        cfg.observe.metricsOut =
-            observe_dir_ + "/METRICS_" + h + ".json";
-        cfg.observe.traceOut = observe_dir_ + "/TRACE_" + h + ".json";
-        cfg.observe.statsJsonOut =
-            observe_dir_ + "/STATS_" + h + ".json";
-        cfg.observe.histJsonOut =
-            observe_dir_ + "/HIST_" + h + ".json";
-        cfg.observe.wireOut = observe_dir_ + "/WIRE_" + h + ".json";
-        cfg.observe.profOut = observe_dir_ + "/PROF_" + h + ".json";
+        setObservePaths(cfg.observe, observe_dir_, h);
         cfg.observe.metricsInterval = observe_interval_;
-        observe_index.push_back(
-            IndexEntry{h, configKey(workload, cfg)});
+        observe_index.push_back({h, configKey(workload, cfg)});
         return cfg;
     };
 
-    // Incremental OBSERVE_INDEX: rewritten through an atomic
-    // tmp-file + rename after every harvested job, listing only the
-    // entries whose runs have been harvested so far — a killed
-    // campaign keeps a valid index of completed artifacts, and the
-    // final rewrite is byte-identical to the historical post-sweep
-    // write.
+    // Incremental OBSERVE_INDEX: rewritten after every harvested
+    // job, listing only the entries whose runs have been harvested
+    // so far — a killed campaign keeps a valid index of completed
+    // artifacts, and the final rewrite is byte-identical to the
+    // historical post-sweep write.
     std::set<std::string> harvested;
     auto writeIndex = [&]() {
         if (observe_dir_.empty())
             return;
-        const std::string path =
-            observe_dir_ + "/OBSERVE_INDEX.json";
-        const std::string tmp = path + ".tmp";
-        {
-            std::ofstream os(tmp);
-            if (!os) {
-                warn("cannot write '%s'", tmp.c_str());
-                return;
-            }
-            JsonWriter w(os);
-            w.beginObject();
-            w.field("interval", static_cast<std::uint64_t>(
-                                    observe_interval_));
-            w.key("runs");
-            w.beginArray();
-            for (const IndexEntry &e : observe_index) {
-                if (harvested.find(e.hash) == harvested.end())
-                    continue;
-                w.beginObject();
-                w.field("hash", e.hash);
-                w.field("key", e.key);
-                w.endObject();
-            }
-            w.endArray();
-            w.endObject();
-            os << "\n";
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, path, ec);
-        if (ec)
-            warn("cannot rename '%s': %s", tmp.c_str(),
-                 ec.message().c_str());
+        std::vector<ObserveIndexEntry> done;
+        for (const ObserveIndexEntry &e : observe_index)
+            if (harvested.count(e.hash))
+                done.push_back(e);
+        writeObserveIndex(observe_dir_, observe_interval_, done);
     };
     auto harvestedJob = [&](const std::string &workload,
                             const ExperimentConfig &cfg) {

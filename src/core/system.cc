@@ -61,9 +61,7 @@ MultiGpuSystem::MultiGpuSystem(const SystemConfig &cfg,
     // slack for lazily cancelled leftovers still parked in the heap.
     const std::uint64_t window =
         std::max(cfg_.gpu.maxOutstanding, cfg_.cpu.maxOutstanding);
-    const std::uint64_t per = cfg_.expectedEvents > 0
-                                  ? cfg_.expectedEvents
-                                  : (window + 64) * 4;
+    const std::uint64_t per = (window + 64) * 4;
     sim_threads_ = resolveSimThreads(cfg_.simThreads, n);
     domains_.reserve(n);
     domains_.push_back(std::make_unique<Domain>(0, eq_));
@@ -231,18 +229,15 @@ void
 MultiGpuSystem::enableTrace(std::ostream &os)
 {
     MGSEC_ASSERT(!trace_, "trace sink already attached");
-    trace_ = std::make_unique<TraceSink>(os);
-    eq_.setTraceSink(trace_.get());
-    // GPU domains buffer trace events privately; the barrier hook
-    // splices the buffers into the master sink in domain order, so
-    // the merged file is run-to-run deterministic.
-    for (std::size_t d = 1; d < domains_.size(); ++d)
-        domains_[d]->enableTraceBuffer();
-    // Named lanes: without the metadata, about:tracing shows bare
+    trace_ = std::make_unique<TraceSink>(os, domains_.size());
+    for (auto &d : domains_)
+        d->eq().setTraceLane(&trace_->lane(d->id()));
+    // Named threads: without the metadata, about:tracing shows bare
     // tids.
-    trace_->metadata(0, "process_name", "mgsec " + profile_.name);
+    TraceLane &meta = trace_->lane(0);
+    meta.metadata(0, "process_name", "mgsec " + profile_.name);
     for (const auto &n : nodes_)
-        trace_->metadata(n->nodeId(), "thread_name", n->name());
+        meta.metadata(n->nodeId(), "thread_name", n->name());
 }
 
 void
@@ -470,11 +465,8 @@ MultiGpuSystem::openObservability()
                       cfg_.observe.metricsRing);
     if (!cfg_.observe.wireOut.empty())
         enableWireObserver();
-    if (!cfg_.observe.profOut.empty()) {
+    if (!cfg_.observe.profOut.empty())
         enableProfiler();
-        if (cfg_.observe.profHostTrack && trace_)
-            prof_->setHostTrack(trace_.get());
-    }
 }
 
 void
@@ -529,11 +521,6 @@ MultiGpuSystem::flushObservability()
         }
     }
     if (prof_) {
-        // Threads are joined by now, so draining every lane's host
-        // spans here is single-threaded; the trace must still be
-        // open for them.
-        for (unsigned l = 0; l < prof_->workers(); ++l)
-            prof_->drainHostTrack(l);
         prof_->finish();
         if (!cfg_.observe.profOut.empty()) {
             std::ofstream f(cfg_.observe.profOut);
@@ -613,10 +600,10 @@ MultiGpuSystem::runWindows()
         pdes_windows_ = kptr->windows();
         pdes_crossings_ = kptr->domainCrossings();
         pdes_stalls_ = kptr->windowStalls();
-        if (trace_) {
-            for (std::size_t d = 1; d < domains_.size(); ++d)
-                domains_[d]->drainTraceBuf(*trace_);
-        }
+        // Every domain is quiesced: write the trace lanes in domain
+        // order, so the file is the same at any worker count.
+        if (trace_)
+            trace_->flush();
         // Catch up the barrier-driven samplers on every due tick the
         // closed window covered (idle-window skips can cover many).
         if (sampler_) {

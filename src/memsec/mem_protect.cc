@@ -75,7 +75,7 @@ MemProtectEngine::access(std::uint64_t addr, bool write,
         // One pipelined MAC pass authenticates the fetched chain.
         meta_ready += params_.macLatency;
         mac_checks_ += static_cast<double>(walked);
-        if (TraceSink *ts = eventq().traceSink()) {
+        if (TraceLane *ts = eventq().traceLane()) {
             ts->complete(0, "memprot", "walk", now(),
                          meta_ready - now(), "levels", walked);
         }

@@ -197,7 +197,7 @@ Network::sendOnWire(PacketPtr pkt, Tick send_tick, EventQueue &dst_eq)
     // Port occupancy and arrival timing are the fabric's decision.
     const Tick arrive =
         topo_->route(pkt->src, pkt->dst, bytes, send_tick);
-    if (TraceSink *ts = eventq().traceSink()) {
+    if (TraceLane *ts = eventq().traceLane()) {
         ts->complete(pkt->src, "net", packetTypeName(pkt->type),
                      send_tick, arrive - send_tick, "bytes", bytes);
     }

@@ -49,7 +49,7 @@ PadTable::record(Direction d, OtpOutcome o, Tick ready)
         otp_stats_.exposedCycles[di] += static_cast<double>(ready - t);
 
     if (o == OtpOutcome::Miss) {
-        if (TraceSink *ts = eventq().traceSink()) {
+        if (TraceLane *ts = eventq().traceLane()) {
             ts->instant(self_, "pad",
                         d == Direction::Send ? "sendMiss" : "recvMiss",
                         t);
@@ -549,7 +549,7 @@ DynamicPadTable::adjust()
         }
     }
 
-    if (TraceSink *ts = eventq().traceSink())
+    if (TraceLane *ts = eventq().traceLane())
         ts->counter(self_, "ewma", "S", now(), s_weight_);
 
     // Re-partitioning throws away staged pads in every resized
@@ -587,7 +587,7 @@ DynamicPadTable::adjust()
         applied_s_ = s_weight_;
         applied_s_peer_ = s_peer_weight_;
         applied_r_peer_ = r_peer_weight_;
-        if (TraceSink *ts = eventq().traceSink()) {
+        if (TraceLane *ts = eventq().traceLane()) {
             ts->instant(self_, "ewma", "repartition", now(), "spad",
                         static_cast<double>(spad));
         }

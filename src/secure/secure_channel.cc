@@ -143,13 +143,13 @@ SecureChannel::send(PacketPtr pkt)
             meta += cfg_.batchLenBytes;
         if (tag.last) {
             meta += cfg_.macBytes;
-            if (TraceSink *ts = eventq().traceSink()) {
+            if (TraceLane *ts = eventq().traceLane()) {
                 ts->instant(self_, "batch", "close", now(), "id",
                             static_cast<double>(tag.batchId));
             }
         }
         if (replay_.add(pkt->dst, grant.ctr)) {
-            if (TraceSink *ts = eventq().traceSink())
+            if (TraceLane *ts = eventq().traceLane())
                 ts->instant(self_, "replay", "overflow", now());
         }
     } else {
@@ -159,7 +159,7 @@ SecureChannel::send(PacketPtr pkt)
         // response; only responses join the replay window and draw
         // a dedicated ACK.
         if (pkt->isResponse() && replay_.add(pkt->dst, grant.ctr)) {
-            if (TraceSink *ts = eventq().traceSink())
+            if (TraceLane *ts = eventq().traceLane())
                 ts->instant(self_, "replay", "overflow", now());
         }
     }
@@ -207,7 +207,7 @@ SecureChannel::send(PacketPtr pkt)
     }
 
     if (dep > now()) {
-        if (TraceSink *ts = eventq().traceSink())
+        if (TraceLane *ts = eventq().traceLane())
             ts->complete(self_, "pad", "sendWait", now(), dep - now());
     }
 
@@ -628,7 +628,7 @@ void
 SecureChannel::sendBatchTrailer(NodeId dst, std::uint64_t batch_id,
                                 std::uint8_t count)
 {
-    if (TraceSink *ts = eventq().traceSink()) {
+    if (TraceLane *ts = eventq().traceLane()) {
         ts->instant(self_, "batch", "flush", now(), "id",
                     static_cast<double>(batch_id));
     }
@@ -719,14 +719,14 @@ SecureChannel::handleArrival(PacketPtr pkt)
     }
 
     if (!pkt->secured) {
-        if (TraceSink *ts = eventq().traceSink()) {
+        if (TraceLane *ts = eventq().traceLane()) {
             ts->complete(self_, "packet", packetTypeName(pkt->type),
                          pkt->injectTick, now() - pkt->injectTick);
         }
         if (LatencyAttribution *attr = eventq().attribution()) {
             lifeStamp(pkt->life, LifeStamp::DeliverReady) = now();
             attr->fold(net_.linkType(pkt->src, self_), pkt->life,
-                       eventq().traceSink(), self_);
+                       eventq().traceLane(), self_);
         }
         MGSEC_ASSERT(deliver_ != nullptr, "no deliver handler");
         deliver_(std::move(pkt));
@@ -790,10 +790,10 @@ SecureChannel::handleArrival(PacketPtr pkt)
         // delivery and the MAC-verify boundary.
         lifeStamp(pkt->life, LifeStamp::DeliverReady) = ready;
         attr->fold(net_.linkType(src, self_), pkt->life,
-                   eventq().traceSink(), self_);
+                   eventq().traceLane(), self_);
     }
 
-    if (TraceSink *ts = eventq().traceSink()) {
+    if (TraceLane *ts = eventq().traceLane()) {
         // The packet's lifetime runs from channel injection at the
         // sender to decrypted delivery here (inject -> pad lookup ->
         // encrypt -> wire -> verify); any tail past the wire arrival

@@ -1,8 +1,5 @@
 #include "sim/domain.hh"
 
-#include "sim/logging.hh"
-#include "sim/trace_sink.hh"
-
 namespace mgsec
 {
 
@@ -24,8 +21,6 @@ Domain::Domain(DomainId id)
     eq_->setDomainId(id_);
 }
 
-Domain::~Domain() = default;
-
 Domain *
 Domain::current()
 {
@@ -40,25 +35,6 @@ Domain::Scope::Scope(Domain &d) : prev_(t_current)
 Domain::Scope::~Scope()
 {
     t_current = prev_;
-}
-
-void
-Domain::enableTraceBuffer()
-{
-    MGSEC_ASSERT(!trace_, "domain trace buffer already attached");
-    trace_ = std::make_unique<TraceSink>(trace_buf_,
-                                         TraceSink::Embedded{});
-    eq_->setTraceSink(trace_.get());
-}
-
-void
-Domain::drainTraceBuf(TraceSink &into)
-{
-    const std::uint64_t nevents = trace_ ? trace_->takeEvents() : 0;
-    std::string buf = std::move(trace_buf_).str();
-    into.appendRaw(buf, nevents);
-    buf.clear();
-    trace_buf_.str(std::move(buf));
 }
 
 } // namespace mgsec

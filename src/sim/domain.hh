@@ -3,11 +3,10 @@
  * Event domains for the window (conservative-PDES) kernel.
  *
  * A Domain is one shard of the discrete-event kernel: an EventQueue
- * plus the per-domain observability buffers that let a run produce
- * the same deterministic artifacts at any worker count. Domains
- * never share SimObjects — core/system.cc partitions objects so
- * that the only cross-domain edges are wire hops through the
- * Network, which the parallel kernel turns into captured messages
+ * and the id that its trace, profiler and capture lanes key on.
+ * Domains never share SimObjects — core/system.cc partitions
+ * objects so that the only cross-domain edges are wire hops through
+ * the Network, which the parallel kernel turns into captured messages
  * replayed at barrier windows (sim/parallel_kernel.hh).
  *
  * Domain 0 is the host/fabric domain. It wraps an externally owned
@@ -24,16 +23,12 @@
 #define MGSEC_SIM_DOMAIN_HH
 
 #include <memory>
-#include <sstream>
-#include <string>
 
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace mgsec
 {
-
-class TraceSink;
 
 class Domain
 {
@@ -42,7 +37,6 @@ class Domain
     Domain(DomainId id, EventQueue &host_eq);
     /** Own a fresh queue (per-GPU domains). */
     explicit Domain(DomainId id);
-    ~Domain();
 
     Domain(const Domain &) = delete;
     Domain &operator=(const Domain &) = delete;
@@ -71,33 +65,10 @@ class Domain
         Domain *prev_;
     };
 
-    /**
-     * @name Per-domain trace buffering
-     *
-     * Each domain writes trace events into a private in-memory
-     * embedded TraceSink; the coordinator drains the buffers into
-     * the master sink at every barrier, in domain order, so the
-     * merged file is run-to-run deterministic.
-     */
-    /// @{
-    /** Create the buffer sink and attach it to this domain's queue. */
-    void enableTraceBuffer();
-    TraceSink *traceBuffer() { return trace_.get(); }
-    /**
-     * Append the buffered trace events to the master sink @p into
-     * and clear the buffer. The buffer keeps its capacity: draining
-     * runs at every barrier, and a fresh buffer each window would
-     * churn the heap.
-     */
-    void drainTraceBuf(TraceSink &into);
-    /// @}
-
   private:
     DomainId id_;
     std::unique_ptr<EventQueue> owned_; ///< null for the host domain
     EventQueue *eq_;
-    std::ostringstream trace_buf_;
-    std::unique_ptr<TraceSink> trace_;
 };
 
 } // namespace mgsec

@@ -48,7 +48,7 @@ namespace mgsec
 
 class LatencyAttribution;
 class Profiler;
-class TraceSink;
+class TraceLane;
 
 /**
  * Same-tick ordering class; lower runs first. Almost everything uses
@@ -182,19 +182,20 @@ class EventQueue
     void setDomainId(DomainId d) { domain_id_ = d; }
 
     /**
-     * Timeline sink shared by every component on this queue, or
-     * nullptr when tracing is off. Living on the queue keeps the
-     * sink per-system (parallel sweep jobs never share one) and
-     * makes the disabled case a single pointer test at each hook.
+     * This queue's lane of the timeline sink, shared by every
+     * component on the queue, or nullptr when tracing is off. Living
+     * on the queue keeps the lane per-domain (only the domain's own
+     * thread writes it) and makes the disabled case a single pointer
+     * test at each hook.
      */
-    TraceSink *traceSink() const { return trace_sink_; }
-    /** Attach/detach the sink; the caller retains ownership. */
-    void setTraceSink(TraceSink *sink) { trace_sink_ = sink; }
+    TraceLane *traceLane() const { return trace_lane_; }
+    /** Attach/detach the lane; the caller retains ownership. */
+    void setTraceLane(TraceLane *lane) { trace_lane_ = lane; }
 
     /**
      * Latency-attribution collector shared by every component on
      * this queue, or nullptr when attribution is off — same
-     * single-pointer-test contract as traceSink().
+     * single-pointer-test contract as traceLane().
      */
     LatencyAttribution *attribution() const { return attr_; }
     /** Attach/detach the collector; the caller retains ownership. */
@@ -203,7 +204,7 @@ class EventQueue
     /**
      * Host-side self-profiler shared by every component on this
      * queue, or nullptr when profiling is off — same
-     * single-pointer-test contract as traceSink(). Instrumented
+     * single-pointer-test contract as traceLane(). Instrumented
      * components pass domainId() so their spans land on the lane of
      * the worker that owns this queue.
      */
@@ -263,7 +264,7 @@ class EventQueue
     std::uint64_t next_seq_ = 1;
     std::uint64_t live_ = 0;
     std::uint64_t executed_ = 0;
-    TraceSink *trace_sink_ = nullptr;
+    TraceLane *trace_lane_ = nullptr;
     LatencyAttribution *attr_ = nullptr;
     Profiler *profiler_ = nullptr;
 };

@@ -84,9 +84,9 @@ LatencyAttribution::e2e(LinkType l) const
 
 void
 LatencyAttribution::fold(LinkType link, const LifeStamps &st,
-                         TraceSink *trace, NodeId tid)
+                         TraceLane *trace, NodeId tid)
 {
-    // The trace sink is the caller's per-domain buffer, so only the
+    // The trace lane is the caller's own domain's, so only the
     // histogram accumulation below needs the concurrent guard.
     auto l = lockIfConcurrent();
     for (std::size_t s = 0; s < kNumLifeStages; ++s) {

@@ -4,7 +4,7 @@
  * (sim/lifecycle.hh) into HDR histograms per stage and link type.
  *
  * One collector serves the whole system; components reach it through
- * EventQueue::attribution(), so — exactly like TraceSink — a null
+ * EventQueue::attribution(), so — exactly like the trace lane — a null
  * pointer there is the entire cost of disabled attribution. The
  * scheme dimension is the run itself (a system simulates exactly one
  * OtpScheme), recorded in the collector's scheme() label; link type
@@ -34,7 +34,7 @@
 namespace mgsec
 {
 
-class TraceSink;
+class TraceLane;
 
 /**
  * Interconnect hop classes. The first two are the paper's
@@ -89,7 +89,7 @@ class LatencyAttribution
      * nonzero stage when @p trace is non-null. @p tid is the
      * receiving node (trace row).
      */
-    void fold(LinkType link, const LifeStamps &st, TraceSink *trace,
+    void fold(LinkType link, const LifeStamps &st, TraceLane *trace,
               NodeId tid);
 
     /** @name Auxiliary (non-conservation) latencies. */

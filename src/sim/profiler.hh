@@ -25,15 +25,12 @@
  * the kernel's own happens-before edges are the only fences needed.
  *
  * Wall-clock data never enters configKey, sim results, or any
- * deterministic artifact: the profiler writes only its own PROF JSON
- * and (optionally) a separate "host" process track in the Chrome
- * trace.
+ * deterministic artifact: the profiler writes only its own PROF JSON.
  */
 
 #ifndef MGSEC_SIM_PROFILER_HH
 #define MGSEC_SIM_PROFILER_HH
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -44,8 +41,6 @@
 
 namespace mgsec
 {
-
-class TraceSink;
 
 /**
  * The phase taxonomy. Fixed and enum-indexed so recording is an
@@ -59,7 +54,7 @@ enum ProfPhase : std::uint8_t
     kProfDomainExec,     ///< parallel: per-window per-domain execution
     kProfBarrierWait,    ///< workers parked at window barriers
     kProfCaptureReplay,  ///< coordinator replaying captured sends
-    kProfMetricFlush,    ///< barrier metric samples + trace merges
+    kProfMetricFlush,    ///< barrier metric samples + trace flushes
     kProfSinkFlush,      ///< end-of-run observability flush
     kProfCryptoSeal,     ///< functional pad-XOR + MAC on send
     kProfCryptoOpen,     ///< functional decrypt + MAC verify on recv
@@ -127,20 +122,9 @@ class Profiler
 
     /**
      * Coordinator-only, at a window barrier (workers parked): close
-     * the window's imbalance scratch and, with a host track
-     * attached, drain every lane's pending trace spans.
+     * the window's imbalance scratch.
      */
     void barrierEpilogue();
-
-    /**
-     * Attach the wall-clock "host" process track: spans additionally
-     * buffer per lane and drain into @p sink as pid-1 complete
-     * events (microsecond timestamps). Coordinator thread
-     * only; emits the track's process/thread metadata immediately.
-     */
-    void setHostTrack(TraceSink *sink);
-    /** Drain lane @p l's pending host-track spans (owning thread). */
-    void drainHostTrack(unsigned l);
 
     /** @name Aggregates (read after finish()) */
     /// @{
@@ -190,17 +174,7 @@ class Profiler
         std::uint64_t events = 0;
         /** Execution (domainExec/serialExec) wall time. */
         std::uint64_t busyNs = 0;
-        /** Host-track spans pending coordinator drain. */
-        struct PendingSpan
-        {
-            std::uint8_t phase;
-            std::uint64_t t0;
-            std::uint64_t t1;
-        };
-        std::vector<PendingSpan> pending;
     };
-
-    static std::chrono::steady_clock::time_point processEpoch();
 
     unsigned workers_;
     unsigned domains_;
@@ -223,9 +197,6 @@ class Profiler
     std::uint64_t sum_busy_ = 0;
     std::uint64_t active_domain_windows_ = 0;
     /// @}
-
-    TraceSink *host_track_ = nullptr;
-    std::uint64_t dropped_spans_ = 0;
 
     std::uint64_t t_start_ = 0;
     std::uint64_t t_end_ = 0;

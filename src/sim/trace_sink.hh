@@ -5,10 +5,16 @@
  * Emits the JSON Array Format understood by chrome://tracing and
  * Perfetto: one process (pid 0) whose threads are the simulated
  * nodes, with simulated cycles mapped 1:1 onto microseconds.
- * Components reach the sink through EventQueue::traceSink(); a null
+ *
+ * The sink owns one in-memory lane per event domain. Components
+ * reach their domain's lane through EventQueue::traceLane(); a null
  * pointer there is the entire cost of disabled tracing, so the
  * zero-allocation hot-path guarantee is preserved when no sink is
- * attached.
+ * attached. A lane is written only by the thread running its domain,
+ * and flush() — called by the window kernel's coordinator at every
+ * barrier, with every domain quiesced — writes the lanes to the
+ * stream in domain order, so the file is the same bytes at any
+ * worker count.
  *
  * Event vocabulary (category / name):
  *  - "packet"  complete: one span per delivered data packet, from
@@ -35,37 +41,22 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "sim/types.hh"
 
 namespace mgsec
 {
 
-/** Streaming Chrome trace_event writer (JSON Array Format). */
-class TraceSink
+/**
+ * One domain's buffered trace events. Each event is formatted
+ * straight into the lane's string, prefixed with ",\n" so lanes
+ * concatenate into the sink's traceEvents array. Cache-line aligned:
+ * neighbouring lanes are written by different worker threads.
+ */
+class alignas(64) TraceLane
 {
   public:
-    /** The stream must outlive the sink; finish() seals the JSON. */
-    explicit TraceSink(std::ostream &os);
-    ~TraceSink();
-
-    /** Tag selecting the embedded (buffer) mode. */
-    struct Embedded
-    {
-    };
-
-    /**
-     * Embedded mode, used for the per-domain buffers of the window
-     * kernel: no document header or footer is written, and every
-     * event is prefixed with ",\n" so the buffered bytes can be
-     * spliced verbatim into a master sink's traceEvents array with
-     * appendRaw().
-     */
-    TraceSink(std::ostream &os, Embedded);
-
-    TraceSink(const TraceSink &) = delete;
-    TraceSink &operator=(const TraceSink &) = delete;
-
     /** Duration ("X") event: [start, start + dur) on thread tid. */
     void complete(std::uint32_t tid, const char *cat, const char *name,
                   Tick start, Tick dur);
@@ -93,51 +84,53 @@ class TraceSink
     void metadata(std::uint32_t tid, const char *what,
                   const std::string &name);
 
-    /**
-     * @name Host (wall-clock) track — pid 1
-     * The self-profiler's spans live in a second process track so
-     * wall-clock microseconds sit beside (never mixed into) the
-     * sim-tick lanes of pid 0. tid is the kernel worker lane.
-     */
-    /// @{
-    void hostComplete(std::uint32_t tid, const char *cat,
-                      const char *name, std::uint64_t start_us,
-                      std::uint64_t dur_us);
-    void hostMetadata(std::uint32_t tid, const char *what,
-                      const std::string &name);
-    /// @}
-
-    /** Close the traceEvents array; idempotent, called by ~TraceSink. */
-    void finish();
-
-    std::uint64_t events() const { return events_; }
-
-    /**
-     * Splice @p nevents events captured by an embedded sink into
-     * this (non-embedded) sink's array. The leading comma of the
-     * buffer is dropped when this sink has emitted nothing yet.
-     */
-    void appendRaw(const std::string &buf, std::uint64_t nevents);
-
-    /**
-     * Embedded sinks only: return the buffered event count and reset
-     * it, pairing with the owner draining the underlying buffer.
-     */
-    std::uint64_t takeEvents();
-
   private:
+    friend class TraceSink;
+
     /** Common prefix up to (but not including) the closing brace. */
     void prefix(char ph, std::uint32_t tid, const char *cat,
-                const char *name, Tick ts)
-    {
-        prefixPid(ph, 0, tid, cat, name, ts);
-    }
-    void prefixPid(char ph, unsigned pid, std::uint32_t tid,
-                   const char *cat, const char *name, Tick ts);
+                const char *name, Tick ts);
+    /** Integers as std::to_chars, doubles as printf "%g". */
+    void putInt(std::uint64_t v);
+    void putReal(double v);
 
-    std::ostream &os_;
+    std::string buf_;
     std::uint64_t events_ = 0;
-    bool embedded_ = false;
+};
+
+/** Chrome trace_event writer (JSON Array Format) over domain lanes. */
+class TraceSink
+{
+  public:
+    /**
+     * Write the document header to @p os and open @p lanes empty
+     * lanes. The stream must outlive the sink; finish() seals it.
+     */
+    TraceSink(std::ostream &os, std::size_t lanes);
+    ~TraceSink();
+
+    TraceSink(const TraceSink &) = delete;
+    TraceSink &operator=(const TraceSink &) = delete;
+
+    TraceLane &lane(std::size_t d) { return lanes_[d]; }
+
+    /**
+     * Write every lane's events to the stream, lanes in order, and
+     * empty them (they keep their capacity). No lane's writer may be
+     * running.
+     */
+    void flush();
+
+    /** flush() and close the traceEvents array; idempotent. */
+    void finish();
+
+    /** Events written to the stream so far. */
+    std::uint64_t events() const { return events_; }
+
+  private:
+    std::ostream &os_;
+    std::vector<TraceLane> lanes_;
+    std::uint64_t events_ = 0;
     bool finished_ = false;
 };
 

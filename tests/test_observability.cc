@@ -72,6 +72,23 @@ runObserved(const ExperimentConfig &cfg)
     return c;
 }
 
+/** Trace bytes of an attributed mm run on @p threads workers. */
+std::string
+tracedRun(ExperimentConfig cfg, std::uint32_t threads)
+{
+    cfg.simThreads = threads;
+    const WorkloadProfile profile = makeProfile(
+        "mm", cfg.scale * kScalingBaselineGpus / cfg.numGpus,
+        cfg.numGpus);
+    MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+    std::ostringstream trace;
+    sys.enableTrace(trace);
+    sys.enableAttribution();
+    EXPECT_TRUE(sys.run().completed);
+    EXPECT_EQ(sys.simThreads(), threads);
+    return trace.str();
+}
+
 } // anonymous namespace
 
 TEST(Observability, IdenticalRunsProduceIdenticalArtifacts)
@@ -82,6 +99,24 @@ TEST(Observability, IdenticalRunsProduceIdenticalArtifacts)
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_EQ(a.metrics, b.metrics);
     EXPECT_EQ(a.stats, b.stats);
+}
+
+TEST(Observability, TraceIdenticalAcrossWorkerCounts)
+{
+    // Whichever worker runs a domain writes its lane, and the
+    // barriers write the lanes in domain order: the file may not
+    // depend on the worker count.
+    ExperimentConfig p2p = quick();
+    p2p.scale = 0.05;
+    ExperimentConfig nvswitch = p2p;
+    nvswitch.numGpus = 16;
+    nvswitch.topology.kind = TopologyKind::NvSwitch;
+    for (const ExperimentConfig &cfg : {p2p, nvswitch}) {
+        const std::string t1 = tracedRun(cfg, 1);
+        EXPECT_NE(t1.find("\"cat\":\"attr\""), std::string::npos);
+        EXPECT_EQ(t1, tracedRun(cfg, 2)) << cfg.numGpus << " GPUs";
+        EXPECT_EQ(t1, tracedRun(cfg, 4)) << cfg.numGpus << " GPUs";
+    }
 }
 
 TEST(Observability, SinksDoNotPerturbResults)

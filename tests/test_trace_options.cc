@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -178,6 +179,29 @@ TEST(RunOptions, ConfigFileBadLineFails)
     RunOptions o;
     EXPECT_FALSE(o.loadFile(path));
     std::remove(path.c_str());
+}
+
+TEST(RunOptions, ObserveDirBundlesEverySinkAndExcludesPaths)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "mgsec_test_observe_dir";
+    fs::remove_all(dir);
+    RunOptions o;
+    o.observeDir = dir.string();
+    ASSERT_TRUE(o.finalizeObservability());
+    const std::string h = configHash(o.workload, o.exp);
+    EXPECT_EQ(o.exp.observe.traceOut,
+              (dir / ("TRACE_" + h + ".json")).string());
+    EXPECT_EQ(o.exp.observe.profOut,
+              (dir / ("PROF_" + h + ".json")).string());
+
+    // An explicit per-sink path, --prof-out included, conflicts.
+    RunOptions prof;
+    prof.observeDir = dir.string();
+    prof.exp.observe.profOut = "prof.json";
+    EXPECT_FALSE(prof.finalizeObservability());
+    fs::remove_all(dir);
 }
 
 TEST(ParseScheme, AllNamesCaseInsensitive)
