@@ -20,8 +20,7 @@ main(int argc, char **argv)
     // --json: machine-readable results, the regression-gate seed
     // (BENCH_baseline.json) that CI diffs with mgsec_report.
     BenchArgs args;
-    args.acceptJson = true;
-    args.parseArgs(argc, argv);
+    args.parseArgs(argc, argv, {"json"});
     banner("Fig. 9 — prior OTP buffer management schemes",
            "Fig. 9 (Private / Shared / Cached, OTP 4x, 4 GPUs)");
 

@@ -9,15 +9,9 @@
  * end-to-end wall-clock of a reference workload. CI runs it on every
  * push so hot-path regressions show up as numbers, not vibes.
  *
- * Usage:
- *   bench_hotpath [--json FILE] [--scale S] [--quick]
- *                 [--crypto-impl I]
- *
- * --json FILE  also emit machine-readable results (BENCH_hotpath.json)
- * --scale S    workload size multiplier for the end-to-end run (0.2)
- * --quick      cut the microbench repetition counts ~8x (smoke runs)
- * --crypto-impl I  tier for the non-crypto sections (auto|portable|
- *              simd); the cryptoTiers section always measures both
+ * `bench_hotpath --help` lists the flags. --scale sizes the
+ * end-to-end runs; --crypto-impl picks the tier of the non-crypto
+ * sections (the cryptoTiers section always measures both).
  */
 
 #include <chrono>
@@ -32,6 +26,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/flags.hh"
 #include "core/json_out.hh"
 #include "core/system.hh"
 #include "crypto/dispatch.hh"
@@ -63,33 +58,6 @@ struct Args
     bool quick = false;
     CryptoImpl cryptoImpl = CryptoImpl::Auto;
 };
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        const std::string f = argv[i];
-        if (f == "--json" && i + 1 < argc) {
-            a.json = argv[++i];
-        } else if (f == "--scale" && i + 1 < argc) {
-            a.scale = std::stod(argv[++i]);
-        } else if (f == "--quick") {
-            a.quick = true;
-        } else if (f == "--crypto-impl" && i + 1 < argc) {
-            if (!parseCryptoImpl(argv[++i], a.cryptoImpl)) {
-                std::cerr << "bad --crypto-impl value '" << argv[i]
-                          << "' (want auto|portable|simd)\n";
-                std::exit(2);
-            }
-        } else {
-            std::cerr << "usage: bench_hotpath [--json FILE] "
-                         "[--scale S] [--quick] [--crypto-impl I]\n";
-            std::exit(f == "--help" ? 0 : 2);
-        }
-    }
-    return a;
-}
 
 /** Fold a digest into a sink so the work cannot be optimized away. */
 std::uint64_t g_sink = 0;
@@ -850,7 +818,19 @@ writeJson(const std::string &path, const GhashResult &gh,
 int
 main(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv);
+    Args args;
+    Flags("usage: bench_hotpath [options]\n")
+        .add(textFlag("json", "FILE",
+                      "also emit machine-readable results "
+                      "(BENCH_hotpath.json)",
+                      args.json))
+        .add(scaleFlag(args.scale))
+        .add(switchFlag("quick",
+                        "cut the microbench repetition counts ~8x "
+                        "(smoke runs)",
+                        args.quick))
+        .add(cryptoImplFlag(args.cryptoImpl))
+        .parseOrExit(argc, argv);
     setCryptoImpl(args.cryptoImpl);
 
     std::cout << "=== hot-path perf harness\n"

@@ -22,10 +22,7 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args;
-    args.acceptJson = true;
-    args.acceptTopology = true;
-    args.acceptWorkloads = true;
-    args.parseArgs(argc, argv);
+    args.parseArgs(argc, argv, {"json", "topology", "workloads"});
     banner("Scale-out — secure schemes at 8/16/64 GPUs",
            "extends Fig. 24/25 to 64 GPUs and switch fabrics");
 

@@ -2,15 +2,8 @@
  * @file
  * Shared plumbing for the figure/table benches: batched sweep
  * execution, seed-averaged normalized metrics, and common CLI
- * handling.
- *
- * Every bench accepts:
- *   --scale S   workload size multiplier (default 0.6)
- *   --seeds N   seeds averaged per configuration (default 2)
- *   --jobs N    parallel simulation jobs (default: all hardware
- *               threads)
- * so CI runs can trade accuracy for speed. Unknown flags and
- * out-of-range values are rejected with a usage message.
+ * handling (SweepArgs; `--help` lists the flags, and --scale, --seeds
+ * and --jobs let CI runs trade accuracy for speed).
  *
  * Benches queue their whole (workload x config) matrix on a
  * mgsec::Sweep and run it once: the job pool overlaps every

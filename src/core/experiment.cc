@@ -168,15 +168,21 @@ writeObserveIndex(const std::string &dir, Cycles interval,
     return true;
 }
 
-RunResult
-runWorkload(const std::string &workload, const ExperimentConfig &cfg)
+double
+workloadScale(const ExperimentConfig &cfg)
 {
     double scale = cfg.scale;
     if (cfg.strongScaling && cfg.numGpus != 0)
         scale *= static_cast<double>(kScalingBaselineGpus) /
                  static_cast<double>(cfg.numGpus);
+    return scale;
+}
+
+RunResult
+runWorkload(const std::string &workload, const ExperimentConfig &cfg)
+{
     const WorkloadProfile profile =
-        makeProfile(workload, scale, cfg.numGpus);
+        makeProfile(workload, workloadScale(cfg), cfg.numGpus);
     MultiGpuSystem sys(makeSystemConfig(cfg), profile);
     return sys.run();
 }

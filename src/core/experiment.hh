@@ -132,6 +132,10 @@ struct ObserveIndexEntry
 bool writeObserveIndex(const std::string &dir, Cycles interval,
                        const std::vector<ObserveIndexEntry> &runs);
 
+/** cfg.scale, shrunk by kScalingBaselineGpus/numGpus under strong
+ *  scaling: the multiplier a run of @p cfg builds its profile with. */
+double workloadScale(const ExperimentConfig &cfg);
+
 /** Simulate one workload under one configuration. */
 RunResult runWorkload(const std::string &workload,
                       const ExperimentConfig &cfg);

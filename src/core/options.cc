@@ -1,72 +1,14 @@
 #include "core/options.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
-
-#include "sim/debug.hh"
-#include "sim/logging.hh"
 
 namespace mgsec
 {
-
-bool
-parseNumber(const std::string &text, double lo, double hi, double &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    if (!(v >= lo && v <= hi))
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseNumber(const std::string &text, long long lo, long long hi,
-            long long &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    if (v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseNumber(const std::string &text, unsigned long long lo,
-            unsigned long long hi, unsigned long long &out)
-{
-    // strtoull silently wraps negatives; reject them up front.
-    if (text.empty() || text.find('-') != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    if (v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
 
 bool
 parseShaping(const std::string &text, ShapingPolicy &out)
@@ -129,137 +71,149 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
+/** An on/off flag (parseBool values). */
+Flag
+onOffFlag(std::string name, std::string help, bool &out)
+{
+    return {std::move(name), "B", std::move(help),
+            [&out](const std::string &v) { return parseBool(v, out); }};
+}
+
 } // anonymous namespace
+
+Flags
+RunOptions::flags()
+{
+    ObserveConfig &obs = exp.observe;
+    TopologyConfig &topo = exp.topology;
+    Flags t("mgsec_run — simulate one secure multi-GPU configuration\n"
+            "\n");
+    t.add(textFlag("workload", "NAME",
+                   "one of the 17 paper workloads (default mm)",
+                   workload))
+        .add(gpusFlag(exp.numGpus))
+        .add({"scheme", "S", "unsecure|private|shared|cached|dynamic",
+              [this](const std::string &v) {
+                  return parseScheme(v, exp.scheme);
+              }})
+        .add(onOffFlag("batching", "metadata batching on/off",
+                       exp.batching))
+        .add(numberFlag("batch-size", "N", "batch length (default 16)",
+                        exp.batchSize, 1u, 1u << 20))
+        .add(numberFlag("otp-mult", "N", "OTP Nx quota (default 4)",
+                        exp.otpMult, 1u, 1u << 20))
+        .add(numberFlag("aes-latency", "C", "AES-GCM latency in cycles",
+                        exp.aesLatency, 0, 1ULL << 32))
+        .add(scaleFlag(exp.scale))
+        .add(numberFlag("seed", "N", "RNG seed", exp.seed, 0,
+                        UINT64_MAX))
+        .add(onOffFlag("count-metadata", "account metadata wire bytes",
+                       exp.countMetadataBytes))
+        .add(numberFlag("comm-sample-interval", "C",
+                        "sample GPU1's comm mix", exp.commSampleInterval,
+                        0, UINT64_MAX))
+        .add(onOffFlag("strong-scaling", "shrink per-GPU work with N",
+                       exp.strongScaling))
+        .add(onOffFlag("baseline", "also run the unsecure baseline",
+                       baseline))
+        .add(textFlag("stats-out", "FILE",
+                      "dump component stats ('-' = stdout)", statsOut))
+        .add(textFlag("json-out", "FILE", "write the result as JSON",
+                      jsonOut))
+        .add(textFlag("trace-record", "PREFIX",
+                      "write <prefix>.gpuN.trace files", traceRecord))
+        .add(textFlag("trace-play", "FILE",
+                      "replay GPU 1 from a trace file", tracePlay))
+        .add(textFlag("metrics-out", "FILE",
+                      "write sampled time-series metrics as JSON",
+                      obs.metricsOut))
+        .add(textFlag("trace-out", "FILE",
+                      "write a Chrome trace_event timeline (Perfetto)",
+                      obs.traceOut))
+        .add(textFlag("stats-json", "FILE",
+                      "dump component stats as JSON", obs.statsJsonOut))
+        .add(numberFlag("metrics-interval", "C",
+                        "cycles between metric samples (default 1000)",
+                        obs.metricsInterval, 1, UINT64_MAX))
+        .add(numberFlag("metrics-ring", "N",
+                        "metric rows kept before dropping (default 4096)",
+                        obs.metricsRing, 1u, 1u << 24))
+        .add(onOffFlag("attr", "per-message latency attribution histograms",
+                       obs.latencyAttr))
+        .add(textFlag("hist-json", "FILE",
+                      "write attribution histograms as JSON (implies\n"
+                      "--attr on)", obs.histJsonOut))
+        .add(textFlag("wire-json", "FILE",
+                      "write the passive wire-observer dump as JSON",
+                      obs.wireOut))
+        .add(textFlag("prof-out", "FILE",
+                      "write the host-side self-profiler dump as JSON",
+                      obs.profOut))
+        .add(textFlag("observe-dir", "DIR",
+                      "bundle all sinks into DIR with sweep's naming:\n"
+                      "METRICS_/TRACE_/STATS_/HIST_/WIRE_/PROF_<hash>.json"
+                      "\n(+ OBSERVE_INDEX.json); excludes the per-sink "
+                      "paths", observeDir))
+        .add({"shape", "P", "traffic shaping: none|constant-rate|batch-jitter",
+              [this](const std::string &v) {
+                  return parseShaping(v, exp.shaping);
+              }})
+        .add(numberFlag("shape-interval", "C",
+                        "constant-rate slot width in cycles (default 64)",
+                        exp.shapeInterval, 1, 1ULL << 32))
+        .add(numberFlag("shape-pad-to", "B",
+                        "constant-rate wire-size quantum in bytes\n"
+                        "(default 128)", exp.shapePadTo, 1, 1ULL << 20))
+        .add(numberFlag("shape-jitter", "C",
+                        "max batch-close jitter in cycles (default 96)",
+                        exp.shapeJitter, 0, 1ULL << 32))
+        .add(numberFlag("shape-chaff", "N",
+                        "constant-rate cover traffic: full-mesh chaff until "
+                        "a\nnode idles N slots (0 = off; default 512)",
+                        exp.shapeChaffSlots, 0u, 1u << 20))
+        .add(topologyFlag(topo.kind))
+        .add(numberFlag("switch-radix", "N",
+                        "max GPUs per crossbar (default 64)",
+                        topo.switchRadix, 1u, 1024u))
+        .add(numberFlag("switch-latency", "C",
+                        "crossbar traversal in cycles (default 60)",
+                        topo.switchLatency, 0, 1ULL << 32))
+        .add(numberFlag("switch-bw", "F",
+                        "switch egress port bytes/cycle (default 50)",
+                        topo.switchBytesPerCycle, 1e-3, 1e6))
+        .add(numberFlag("gpus-per-node", "N",
+                        "hier: GPUs per fabric node (default 8)",
+                        topo.gpusPerNode, 1u, 256u))
+        .add(numberFlag("inter-latency", "C",
+                        "hier: trunk crossing in cycles (default 300)",
+                        topo.interLatency, 0, 1ULL << 32))
+        .add(numberFlag("inter-bw", "F",
+                        "hier: trunk port bytes/cycle (default 25)",
+                        topo.interBytesPerCycle, 1e-3, 1e6))
+        .add(cryptoImplFlag(exp.cryptoImpl))
+        .add(simThreadsFlag(exp.simThreads))
+        // CI-only fault injector for the mgsec_report gate self-check.
+        .add(numberFlag("debug-pad-stall-pct", "N", "",
+                        exp.debugPadStallPct, 0u, 10000u).hide())
+        .add(debugFlag())
+        .add({"config", "FILE", "read 'key = value' lines first",
+              [this](const std::string &v) { return loadFile(v); }});
+    return t;
+}
 
 bool
 RunOptions::set(const std::string &key, const std::string &value)
 {
-    // Range-checked parsing into temporaries: a bad value reports an
-    // error instead of throwing (std::stoul) or silently wrapping.
-    unsigned long long u = 0;
-    double d = 0.0;
-    bool ok = true;
-    if (key == "workload") {
-        workload = value;
-    } else if (key == "gpus") {
-        if ((ok = parseNumber(value, 1ULL, 256ULL, u)))
-            exp.numGpus = static_cast<std::uint32_t>(u);
-    } else if (key == "scheme") {
-        ok = parseScheme(value, exp.scheme);
-    } else if (key == "batching") {
-        ok = parseBool(value, exp.batching);
-    } else if (key == "batch-size") {
-        if ((ok = parseNumber(value, 1ULL, 1ULL << 20, u)))
-            exp.batchSize = static_cast<std::uint32_t>(u);
-    } else if (key == "otp-mult") {
-        if ((ok = parseNumber(value, 1ULL, 1ULL << 20, u)))
-            exp.otpMult = static_cast<std::uint32_t>(u);
-    } else if (key == "aes-latency") {
-        if ((ok = parseNumber(value, 0ULL, 1ULL << 32, u)))
-            exp.aesLatency = u;
-    } else if (key == "scale") {
-        if ((ok = parseNumber(value, 1e-6, 1e6, d)))
-            exp.scale = d;
-    } else if (key == "seed") {
-        if ((ok = parseNumber(value, 0ULL, UINT64_MAX, u)))
-            exp.seed = u;
-    } else if (key == "count-metadata") {
-        ok = parseBool(value, exp.countMetadataBytes);
-    } else if (key == "comm-sample-interval") {
-        if ((ok = parseNumber(value, 0ULL, UINT64_MAX, u)))
-            exp.commSampleInterval = u;
-    } else if (key == "strong-scaling") {
-        ok = parseBool(value, exp.strongScaling);
-    } else if (key == "baseline") {
-        ok = parseBool(value, baseline);
-    } else if (key == "stats-out") {
-        statsOut = value;
-    } else if (key == "json-out") {
-        jsonOut = value;
-    } else if (key == "trace-record") {
-        traceRecord = value;
-    } else if (key == "trace-play") {
-        tracePlay = value;
-    } else if (key == "metrics-out") {
-        exp.observe.metricsOut = value;
-    } else if (key == "trace-out") {
-        exp.observe.traceOut = value;
-    } else if (key == "stats-json") {
-        exp.observe.statsJsonOut = value;
-    } else if (key == "metrics-interval") {
-        if ((ok = parseNumber(value, 1ULL, UINT64_MAX, u)))
-            exp.observe.metricsInterval = u;
-    } else if (key == "metrics-ring") {
-        if ((ok = parseNumber(value, 1ULL, 1ULL << 24, u)))
-            exp.observe.metricsRing = static_cast<std::uint32_t>(u);
-    } else if (key == "attr") {
-        ok = parseBool(value, exp.observe.latencyAttr);
-    } else if (key == "hist-json") {
-        exp.observe.histJsonOut = value;
-    } else if (key == "wire-json") {
-        exp.observe.wireOut = value;
-    } else if (key == "prof-out") {
-        exp.observe.profOut = value;
-    } else if (key == "observe-dir") {
-        observeDir = value;
-    } else if (key == "shape") {
-        ok = parseShaping(value, exp.shaping);
-    } else if (key == "shape-interval") {
-        if ((ok = parseNumber(value, 1ULL, 1ULL << 32, u)))
-            exp.shapeInterval = u;
-    } else if (key == "shape-pad-to") {
-        if ((ok = parseNumber(value, 1ULL, 1ULL << 20, u)))
-            exp.shapePadTo = u;
-    } else if (key == "shape-jitter") {
-        if ((ok = parseNumber(value, 0ULL, 1ULL << 32, u)))
-            exp.shapeJitter = u;
-    } else if (key == "shape-chaff") {
-        if ((ok = parseNumber(value, 0ULL, 1ULL << 20, u)))
-            exp.shapeChaffSlots = static_cast<std::uint32_t>(u);
-    } else if (key == "topology") {
-        ok = parseTopologyKind(value, exp.topology.kind);
-    } else if (key == "switch-radix") {
-        if ((ok = parseNumber(value, 1ULL, 1024ULL, u)))
-            exp.topology.switchRadix = static_cast<std::uint32_t>(u);
-    } else if (key == "switch-latency") {
-        if ((ok = parseNumber(value, 0ULL, 1ULL << 32, u)))
-            exp.topology.switchLatency = u;
-    } else if (key == "switch-bw") {
-        if ((ok = parseNumber(value, 1e-3, 1e6, d)))
-            exp.topology.switchBytesPerCycle = d;
-    } else if (key == "gpus-per-node") {
-        if ((ok = parseNumber(value, 1ULL, 256ULL, u)))
-            exp.topology.gpusPerNode = static_cast<std::uint32_t>(u);
-    } else if (key == "inter-latency") {
-        if ((ok = parseNumber(value, 0ULL, 1ULL << 32, u)))
-            exp.topology.interLatency = u;
-    } else if (key == "inter-bw") {
-        if ((ok = parseNumber(value, 1e-3, 1e6, d)))
-            exp.topology.interBytesPerCycle = d;
-    } else if (key == "crypto-impl") {
-        ok = crypto::parseCryptoImpl(value, exp.cryptoImpl);
-    } else if (key == "sim-threads") {
-        if ((ok = parseNumber(value, 1ULL, 256ULL, u)))
-            exp.simThreads = static_cast<std::uint32_t>(u);
-    } else if (key == "debug-pad-stall-pct") {
-        // Deliberately absent from usage(): a CI-only fault injector
-        // for the mgsec_report regression-gate self-check.
-        if ((ok = parseNumber(value, 0ULL, 10000ULL, u)))
-            exp.debugPadStallPct = static_cast<std::uint32_t>(u);
-    } else if (key == "debug") {
-        if (value == "help") {
-            debug::listFlags(std::cout);
-            std::exit(0);
-        }
-        ok = debug::DebugFlag::enableByName(value);
-    } else {
+    const Flags table = flags();
+    const Flag *f = key == "config" ? nullptr : table.find(key);
+    if (f == nullptr) {
         std::cerr << "unknown option '" << key << "'\n";
         return false;
     }
-    if (!ok)
-        std::cerr << "bad value '" << value << "' for '" << key
-                  << "'\n";
-    return ok;
+    if (f->set(value))
+        return true;
+    std::cerr << "bad value '" << value << "' for '" << key << "'\n";
+    return false;
 }
 
 bool
@@ -321,113 +275,21 @@ RunOptions::loadFile(const std::string &path)
 bool
 RunOptions::parse(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return false;
-        }
-        if (arg.rfind("--", 0) != 0) {
-            std::cerr << "unexpected argument '" << arg << "'\n";
-            return false;
-        }
-        arg = arg.substr(2);
-        if (i + 1 >= argc) {
-            std::cerr << "missing value for '--" << arg << "'\n";
-            return false;
-        }
-        const std::string value = argv[++i];
-        if (arg == "config") {
-            if (!loadFile(value))
-                return false;
-        } else if (!set(arg, value)) {
-            return false;
-        }
+    const Flags table = flags();
+    const Flags::Status st = table.parse(argc, argv);
+    if (st == Flags::Status::Help) {
+        table.usage(std::cout);
+        std::exit(0);
     }
-    return true;
+    if (st == Flags::Status::Error)
+        table.usage(std::cerr);
+    return st == Flags::Status::Ok;
 }
 
 void
 RunOptions::usage(std::ostream &os)
 {
-    os << "mgsec_run — simulate one secure multi-GPU configuration\n"
-          "\n"
-          "  --workload NAME        one of the 17 paper workloads "
-          "(default mm)\n"
-          "  --gpus N               GPU count (default 4)\n"
-          "  --scheme S             unsecure|private|shared|cached|"
-          "dynamic\n"
-          "  --batching B           metadata batching on/off\n"
-          "  --batch-size N         batch length (default 16)\n"
-          "  --otp-mult N           OTP Nx quota (default 4)\n"
-          "  --aes-latency C        AES-GCM latency in cycles\n"
-          "  --scale F              workload size multiplier\n"
-          "  --seed N               RNG seed\n"
-          "  --count-metadata B     account metadata wire bytes\n"
-          "  --comm-sample-interval C  sample GPU1's comm mix\n"
-          "  --strong-scaling B     shrink per-GPU work with N\n"
-          "  --baseline B           also run the unsecure baseline\n"
-          "  --stats-out FILE       dump component stats ('-' = "
-          "stdout)\n"
-          "  --json-out FILE        write the result as JSON\n"
-          "  --trace-record PREFIX  write <prefix>.gpuN.trace files\n"
-          "  --trace-play FILE      replay GPU 1 from a trace file\n"
-          "  --metrics-out FILE     write sampled time-series "
-          "metrics as JSON\n"
-          "  --trace-out FILE       write a Chrome trace_event "
-          "timeline (Perfetto)\n"
-          "  --stats-json FILE      dump component stats as JSON\n"
-          "  --metrics-interval C   cycles between metric samples "
-          "(default 1000)\n"
-          "  --metrics-ring N       metric rows kept before dropping "
-          "(default 4096)\n"
-          "  --attr B               per-message latency attribution "
-          "histograms\n"
-          "  --hist-json FILE       write attribution histograms as "
-          "JSON (implies --attr on)\n"
-          "  --wire-json FILE       write the passive wire-observer "
-          "dump as JSON\n"
-          "  --prof-out FILE        write the host-side self-profiler "
-          "dump as JSON\n"
-          "  --observe-dir DIR      bundle all sinks into DIR with "
-          "sweep's naming:\n"
-          "                         METRICS_/TRACE_/STATS_/HIST_/WIRE_/"
-          "PROF_<hash>.json\n"
-          "                         (+ OBSERVE_INDEX.json); excludes "
-          "the per-sink paths\n"
-          "  --shape P              traffic shaping: none|"
-          "constant-rate|batch-jitter\n"
-          "  --shape-interval C     constant-rate slot width in "
-          "cycles (default 64)\n"
-          "  --shape-pad-to B       constant-rate wire-size quantum "
-          "in bytes (default 128)\n"
-          "  --shape-jitter C       max batch-close jitter in cycles "
-          "(default 96)\n"
-          "  --shape-chaff N        constant-rate cover traffic: "
-          "full-mesh chaff until a\n"
-          "                         node idles N slots "
-          "(0 = off; default 512)\n"
-          "  --topology T           fabric: p2p|nvswitch|hier "
-          "(default p2p, the paper's machine)\n"
-          "  --switch-radix N       max GPUs per crossbar "
-          "(default 64)\n"
-          "  --switch-latency C     crossbar traversal in cycles "
-          "(default 60)\n"
-          "  --switch-bw F          switch egress port bytes/cycle "
-          "(default 50)\n"
-          "  --gpus-per-node N      hier: GPUs per fabric node "
-          "(default 8)\n"
-          "  --inter-latency C      hier: trunk crossing in cycles "
-          "(default 300)\n"
-          "  --inter-bw F           hier: trunk port bytes/cycle "
-          "(default 25)\n"
-          "  --crypto-impl I        host crypto tier: auto|portable|"
-          "simd (bit-identical results)\n"
-          "  --sim-threads N        event-kernel worker threads "
-          "(same results at any N; default MGSEC_SIM_THREADS or 1)\n"
-          "  --debug FLAGS          enable trace flags "
-          "('help' lists them)\n"
-          "  --config FILE          read 'key = value' lines first\n";
+    RunOptions().flags().usage(os);
 }
 
 } // namespace mgsec

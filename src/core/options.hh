@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "core/flags.hh"
 
 namespace mgsec
 {
@@ -24,21 +25,6 @@ bool parseScheme(const std::string &text, OtpScheme &out);
 
 /** Parse a shaping-policy name ("none", "constant-rate", ...). */
 bool parseShaping(const std::string &text, ShapingPolicy &out);
-
-/**
- * @name Strict numeric parsing
- * The entire string must convert (no trailing junk, no empty string)
- * and the value must lie in [lo, hi]; @p out is untouched on failure.
- * Shared by the bench/tool argument parsers and RunOptions.
- */
-/// @{
-bool parseNumber(const std::string &text, double lo, double hi,
-                 double &out);
-bool parseNumber(const std::string &text, long long lo, long long hi,
-                 long long &out);
-bool parseNumber(const std::string &text, unsigned long long lo,
-                 unsigned long long hi, unsigned long long &out);
-/// @}
 
 struct RunOptions
 {
@@ -72,8 +58,9 @@ struct RunOptions
     bool finalizeObservability();
 
     /**
-     * Apply one key=value setting.
-     * @retval false the key is unknown (error reported to stderr).
+     * Apply one key=value setting (any flag but --config).
+     * @retval false the key is unknown or the value malformed (error
+     *         reported to stderr).
      */
     bool set(const std::string &key, const std::string &value);
 
@@ -81,12 +68,16 @@ struct RunOptions
     bool loadFile(const std::string &path);
 
     /**
-     * Parse argv.
-     * @retval false on error or after printing --help.
+     * Parse argv. --help prints usage to stdout and exits 0.
+     * @retval false on error (reported, with usage, to stderr).
      */
     bool parse(int argc, char **argv);
 
     static void usage(std::ostream &os);
+
+  private:
+    /** The flag table, bound to *this. */
+    Flags flags();
 };
 
 } // namespace mgsec

@@ -1,16 +1,17 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <utility>
 
+#include "core/flags.hh"
 #include "core/job_pool.hh"
 #include "core/options.hh"
 #include "sim/debug.hh"
@@ -21,164 +22,93 @@
 namespace mgsec
 {
 
-void
-SweepArgs::printUsage(std::ostream &os, const char *argv0) const
+namespace
 {
-    os << "usage: " << argv0 << " [--scale S] [--seeds N] [--jobs N]";
-    if (acceptGpus)
-        os << " [--gpus N]";
-    if (acceptJson)
-        os << " [--json FILE]";
-    os << "\n"
-       << "  --scale S  workload size multiplier (default " << scale
-       << ")\n"
-       << "  --seeds N  seeds averaged per configuration (default "
-       << seeds << ")\n"
-       << "  --jobs N   parallel simulation jobs (default: all "
-       << "hardware threads)\n";
-    if (acceptGpus)
-        os << "  --gpus N   GPUs in the simulated system (default "
-           << gpus << ")\n";
-    if (acceptJson)
-        os << "  --json F   also write the results as JSON to F\n";
-    if (acceptObserve)
-        os << "  --observe DIR  write per-job METRICS_/TRACE_/STATS_/"
-           << "HIST_/WIRE_/PROF_ JSON files\n"
-           << "             (tagged by config hash) plus an "
-           << "OBSERVE_INDEX.json and an\n"
-           << "             append-only PROGRESS.jsonl heartbeat "
-           << "into DIR\n";
-    if (acceptShape)
-        os << "  --shape P[,P...]  shaping policies to sweep: none|"
-           << "constant-rate|batch-jitter\n"
-           << "             (default none; extra policies add rows "
-           << "to the matrix)\n";
-    if (acceptWorkloads)
-        os << "  --workloads W[,W...]  restrict the matrix to these "
-           << "workloads (default all)\n";
-    if (acceptTopology)
-        os << "  --topology T  fabric for every run: p2p|nvswitch|"
-           << "hier (default p2p)\n";
-    os << "  --crypto-impl I  host crypto tier auto|portable|simd "
-       << "(bit-identical results)\n"
-       << "  --sim-threads N  event-kernel worker threads per run "
-       << "(same results at any N; default MGSEC_SIM_THREADS or 1)\n"
-       << "  --debug FLAGS  enable trace flags ('help' lists "
-       << "them)\n";
+
+/**
+ * Parse each item of the comma-separated @p list with @p parse;
+ * @p out is untouched unless every item parses.
+ */
+template <typename T, typename ParseFn>
+bool
+parseList(const std::string &list, std::vector<T> &out, ParseFn parse)
+{
+    std::vector<T> items;
+    // The extra comma makes getline yield a trailing empty item.
+    std::istringstream is(list + ",");
+    for (std::string item; std::getline(is, item, ',');) {
+        if (!parse(item, items.emplace_back()))
+            return false;
+    }
+    out = std::move(items);
+    return true;
 }
 
+bool
+parseWorkload(const std::string &name, std::string &out)
+{
+    const auto &names = workloadNames();
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        return false;
+    out = name;
+    return true;
+}
+
+} // anonymous namespace
+
 void
-SweepArgs::parseArgs(int argc, char **argv)
+SweepArgs::parseArgs(int argc, char **argv,
+                     std::initializer_list<std::string_view> optional)
 {
     // Honor MGSEC_DEBUG in every bench/tool; Sweep::run() drops to
     // one worker when any flag is on so traces stay readable.
     debug::enableFromEnv();
-    auto die = [&](const char *fmt, const char *what) {
-        std::fprintf(stderr, fmt, what);
-        std::fputc('\n', stderr);
-        printUsage(std::cerr, argv[0]);
-        std::exit(2);
+    const std::vector<Flag> extras = {
+        gpusFlag(gpus),
+        textFlag("json", "F", "also write the results as JSON to F",
+                 jsonOut),
+        textFlag("observe", "DIR",
+                 "write per-job METRICS_/TRACE_/STATS_/HIST_/WIRE_/"
+                 "PROF_ JSON files\n(tagged by config hash) plus an "
+                 "OBSERVE_INDEX.json and an\nappend-only PROGRESS.jsonl "
+                 "heartbeat into DIR",
+                 observeDir),
+        {"shape", "P[,P...]",
+         "shaping policies to sweep: none|constant-rate|batch-jitter\n"
+         "(default none; extra policies add rows to the matrix)",
+         [this](const std::string &v) {
+             return parseList(v, shapes, parseShaping);
+         }},
+        {"workloads", "W[,W...]",
+         "restrict the matrix to these workloads (default all)",
+         [this](const std::string &v) {
+             return parseList(v, workloads, parseWorkload);
+         }},
+        topologyFlag(topology.kind),
     };
-    auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            die("missing value for '%s'", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
-            printUsage(std::cout, argv[0]);
-            std::exit(0);
-        } else if (std::strcmp(arg, "--scale") == 0) {
-            if (!parseNumber(value(i), 1e-6, 1e6, scale))
-                die("bad --scale value '%s'", argv[i]);
-        } else if (std::strcmp(arg, "--seeds") == 0) {
-            long long v = 0;
-            if (!parseNumber(value(i), 1LL, 10000LL, v))
-                die("bad --seeds value '%s'", argv[i]);
-            seeds = static_cast<int>(v);
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            unsigned long long v = 0;
-            if (!parseNumber(value(i), 1ULL, 1024ULL, v))
-                die("bad --jobs value '%s'", argv[i]);
-            jobs = static_cast<unsigned>(v);
-        } else if (acceptGpus && std::strcmp(arg, "--gpus") == 0) {
-            unsigned long long v = 0;
-            if (!parseNumber(value(i), 1ULL, 256ULL, v))
-                die("bad --gpus value '%s'", argv[i]);
-            gpus = static_cast<std::uint32_t>(v);
-        } else if (acceptJson && std::strcmp(arg, "--json") == 0) {
-            jsonOut = value(i);
-        } else if (acceptObserve &&
-                   std::strcmp(arg, "--observe") == 0) {
-            observeDir = value(i);
-        } else if (acceptShape && std::strcmp(arg, "--shape") == 0) {
-            shapes.clear();
-            std::string list = value(i);
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok = list.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                ShapingPolicy p = ShapingPolicy::None;
-                if (!parseShaping(tok, p))
-                    die("bad --shape value '%s'", tok.c_str());
-                shapes.push_back(p);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-            if (shapes.empty())
-                die("bad --shape value '%s'", argv[i]);
-        } else if (acceptWorkloads &&
-                   std::strcmp(arg, "--workloads") == 0) {
-            workloads.clear();
-            std::string list = value(i);
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok = list.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                const auto &names = workloadNames();
-                bool known = false;
-                for (const auto &n : names)
-                    known = known || n == tok;
-                if (!known)
-                    die("unknown workload '%s'", tok.c_str());
-                workloads.push_back(tok);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-            if (workloads.empty())
-                die("bad --workloads value '%s'", argv[i]);
-        } else if (acceptTopology &&
-                   std::strcmp(arg, "--topology") == 0) {
-            if (!parseTopologyKind(value(i), topology.kind))
-                die("bad --topology value '%s'", argv[i]);
-        } else if (std::strcmp(arg, "--crypto-impl") == 0) {
-            if (!crypto::parseCryptoImpl(value(i), cryptoImpl))
-                die("bad --crypto-impl value '%s'", argv[i]);
-        } else if (std::strcmp(arg, "--sim-threads") == 0) {
-            unsigned long long v = 0;
-            if (!parseNumber(value(i), 1ULL, 256ULL, v))
-                die("bad --sim-threads value '%s'", argv[i]);
-            simThreads = static_cast<std::uint32_t>(v);
-        } else if (std::strcmp(arg, "--debug") == 0) {
-            const char *flags = value(i);
-            if (std::strcmp(flags, "help") == 0) {
-                debug::listFlags(std::cout);
-                std::exit(0);
-            }
-            if (!debug::DebugFlag::enableByName(flags))
-                die("bad --debug value '%s'", argv[i]);
-        } else {
-            die("unknown flag '%s'", arg);
+    Flags t(std::string("usage: ") + argv[0] + " [options]\n");
+    t.add(scaleFlag(scale))
+        .add(numberFlag("seeds", "N",
+                        "seeds averaged per configuration (default " +
+                            std::to_string(seeds) + ")",
+                        seeds, 1, 10000))
+        .add(numberFlag("jobs", "N",
+                        "parallel simulation jobs (default: all "
+                        "hardware threads)",
+                        jobs, 1u, 1024u));
+    std::size_t added = 0;
+    for (const Flag &f : extras) {
+        if (std::find(optional.begin(), optional.end(), f.name) !=
+            optional.end()) {
+            t.add(f);
+            ++added;
         }
     }
+    MGSEC_ASSERT(added == optional.size(), "unknown optional sweep flag");
+    t.add(cryptoImplFlag(cryptoImpl))
+        .add(simThreadsFlag(simThreads))
+        .add(debugFlag());
+    t.parseOrExit(argc, argv);
 }
 
 namespace

@@ -19,9 +19,11 @@
 
 #include <cstdint>
 #include <future>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -40,27 +42,27 @@ struct SweepArgs
     int seeds = 2;      ///< seeds averaged per configuration
     unsigned jobs = 0;  ///< worker threads; 0 = all hardware threads
 
-    std::uint32_t gpus = 4; ///< parsed only when acceptGpus
-    std::string jsonOut;    ///< parsed only when acceptJson
-    std::string observeDir; ///< parsed only when acceptObserve
+    std::uint32_t gpus = 4; ///< optional flag --gpus
+    std::string jsonOut;    ///< optional flag --json
+    std::string observeDir; ///< optional flag --observe
 
     /**
-     * Shaping policies to sweep (--shape, comma-separated; parsed
-     * only when acceptShape). The default single None entry keeps
-     * the historical matrix — and its output — unchanged.
+     * Shaping policies to sweep (optional flag --shape,
+     * comma-separated). The default single None entry keeps the
+     * historical matrix — and its output — unchanged.
      */
     std::vector<ShapingPolicy> shapes{ShapingPolicy::None};
     /**
-     * Workload filter (--workloads, comma-separated; parsed only
-     * when acceptWorkloads). Empty = every paper workload.
+     * Workload filter (optional flag --workloads, comma-separated).
+     * Empty = every paper workload.
      */
     std::vector<std::string> workloads;
 
     /**
-     * Fabric for every queued run (--topology, parsed only when
-     * acceptTopology; switch/fabric knobs keep their defaults).
-     * Benches apply it to the configs they queue; the default p2p
-     * keeps the historical matrix byte-identical.
+     * Fabric for every queued run (optional flag --topology;
+     * switch/fabric knobs keep their defaults). Benches apply it to
+     * the configs they queue; the default p2p keeps the historical
+     * matrix byte-identical.
      */
     TopologyConfig topology{};
 
@@ -79,21 +81,15 @@ struct SweepArgs
      */
     std::uint32_t simThreads = 0;
 
-    bool acceptGpus = false;
-    bool acceptJson = false;
-    bool acceptObserve = false;
-    bool acceptShape = false;
-    bool acceptWorkloads = false;
-    bool acceptTopology = false;
-
     /**
-     * Parse argv into *this (current members are the defaults).
-     * Prints usage and exits on --help (status 0) or on any unknown
-     * flag, missing value, or out-of-range value (status 2).
+     * Parse argv into *this (current members are the defaults) with
+     * Flags::parseOrExit(). Every bench and sweep tool takes --scale,
+     * --seeds, --jobs, --crypto-impl, --sim-threads and --debug;
+     * @p optional names its extra flags ("gpus", "json", "observe",
+     * "shape", "workloads", "topology").
      */
-    void parseArgs(int argc, char **argv);
-
-    void printUsage(std::ostream &os, const char *argv0) const;
+    void parseArgs(int argc, char **argv,
+                   std::initializer_list<std::string_view> optional = {});
 };
 
 /**

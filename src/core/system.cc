@@ -164,25 +164,32 @@ MultiGpuSystem::replaceWorkload(NodeId gpu,
     nodes_[gpu]->attachWorkload(std::move(src));
 }
 
+template <typename Fn>
 void
-MultiGpuSystem::dumpStats(std::ostream &os) const
+MultiGpuSystem::forEachStatGroup(Fn &&fn) const
 {
     // Registered only when attribution is enabled, keeping the
     // figure-bench dumps byte-identical with profiling off (same
     // contract as the conditional ctrGaps registration).
     if (attr_)
-        attr_->statGroup().dump(os);
-    net_->statGroup().dump(os);
-    pt_->statGroup().dump(os);
-    for (const auto &n : nodes_) {
-        n->statGroup().dump(os);
-        n->channel().statGroup().dump(os);
-        if (const PadTable *padt = n->channel().padTable())
-            padt->statGroup().dump(os);
-        n->l2().statGroup().dump(os);
-        n->memory().statGroup().dump(os);
-        const_cast<Node &>(*n).l2Tlb().statGroup().dump(os);
+        fn(attr_->statGroup());
+    fn(net_->statGroup());
+    fn(pt_->statGroup());
+    for (auto &n : nodes_) {
+        fn(n->statGroup());
+        fn(n->channel().statGroup());
+        if (PadTable *padt = n->channel().padTable())
+            fn(padt->statGroup());
+        fn(n->l2().statGroup());
+        fn(n->memory().statGroup());
+        fn(n->l2Tlb().statGroup());
     }
+}
+
+void
+MultiGpuSystem::dumpStats(std::ostream &os) const
+{
+    forEachStatGroup([&os](stats::StatGroup &g) { g.dump(os); });
 }
 
 void
@@ -190,19 +197,7 @@ MultiGpuSystem::dumpStatsJson(std::ostream &os) const
 {
     JsonWriter w(os);
     w.beginObject();
-    if (attr_)
-        attr_->statGroup().dumpJson(w);
-    net_->statGroup().dumpJson(w);
-    pt_->statGroup().dumpJson(w);
-    for (const auto &n : nodes_) {
-        n->statGroup().dumpJson(w);
-        n->channel().statGroup().dumpJson(w);
-        if (const PadTable *padt = n->channel().padTable())
-            padt->statGroup().dumpJson(w);
-        n->l2().statGroup().dumpJson(w);
-        n->memory().statGroup().dumpJson(w);
-        const_cast<Node &>(*n).l2Tlb().statGroup().dumpJson(w);
-    }
+    forEachStatGroup([&w](stats::StatGroup &g) { g.dumpJson(w); });
     w.endObject();
     os << "\n";
 }
@@ -210,19 +205,9 @@ MultiGpuSystem::dumpStatsJson(std::ostream &os) const
 void
 MultiGpuSystem::resetStats()
 {
+    forEachStatGroup([](stats::StatGroup &g) { g.resetAll(); });
     if (attr_)
-        attr_->reset();
-    net_->statGroup().resetAll();
-    pt_->statGroup().resetAll();
-    for (auto &n : nodes_) {
-        n->statGroup().resetAll();
-        n->channel().statGroup().resetAll();
-        if (PadTable *padt = n->channel().padTable())
-            padt->statGroup().resetAll();
-        n->l2().statGroup().resetAll();
-        n->memory().statGroup().resetAll();
-        n->l2Tlb().statGroup().resetAll();
-    }
+        attr_->reset(); // also clears its fold count
 }
 
 void

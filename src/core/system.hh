@@ -293,6 +293,12 @@ class MultiGpuSystem
     void openObservability();
     /** Flush and close them at the end of run(). */
     void flushObservability();
+    /** Call fn(stats::StatGroup &) on every stat group in dump order:
+     *  attr, net, pt, then per node: node, channel, pad table, L2,
+     *  memory, L2 TLB. The groups live behind owning pointers, so
+     *  resetStats() can use it too. */
+    template <typename Fn>
+    void forEachStatGroup(Fn &&fn) const;
 
     SystemConfig cfg_;
     WorkloadProfile profile_;

@@ -318,31 +318,6 @@ Histogram::reset()
 }
 
 void
-TimeSeries::dump(std::ostream &os) const
-{
-    os << name() << "::samples " << points_.size() << " # " << desc()
-       << "\n";
-}
-
-void
-TimeSeries::dumpJson(JsonWriter &w) const
-{
-    w.key(name());
-    w.beginObject();
-    w.field("type", std::string("timeseries"));
-    w.field("desc", desc());
-    w.beginArray("points");
-    for (const auto &[t, v] : points_) {
-        w.beginArray();
-        w.value(static_cast<std::uint64_t>(t));
-        w.value(v);
-        w.endArray();
-    }
-    w.endArray();
-    w.endObject();
-}
-
-void
 StatGroup::addGroup(const StatGroup &g)
 {
     for (Stat *s : g.all())

@@ -192,26 +192,6 @@ class Histogram : public Stat
     std::uint64_t max_seen_ = 0;
 };
 
-/** (tick, value) samples, for the paper's time-phased plots. */
-class TimeSeries : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void sample(Tick t, double v) { points_.emplace_back(t, v); }
-    const std::vector<std::pair<Tick, double>> &points() const
-    {
-        return points_;
-    }
-
-    void dump(std::ostream &os) const override;
-    void dumpJson(JsonWriter &w) const override;
-    void reset() override { points_.clear(); }
-
-  private:
-    std::vector<std::pair<Tick, double>> points_;
-};
-
 /** A registry of stats that dumps them in registration order. */
 class StatGroup
 {

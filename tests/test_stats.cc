@@ -120,18 +120,6 @@ TEST(DistributionStat, SingleSampleHasZeroStddev)
     EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
 }
 
-TEST(TimeSeriesStat, RecordsPointsInOrder)
-{
-    TimeSeries ts("ts", "series");
-    ts.sample(10, 1.0);
-    ts.sample(20, 2.0);
-    ASSERT_EQ(ts.points().size(), 2u);
-    EXPECT_EQ(ts.points()[0].first, 10u);
-    EXPECT_DOUBLE_EQ(ts.points()[1].second, 2.0);
-    ts.reset();
-    EXPECT_TRUE(ts.points().empty());
-}
-
 TEST(StatGroup, DumpsAllRegisteredStats)
 {
     StatGroup g("grp");

@@ -8,45 +8,22 @@
  *   mgsec_fuzz --repro "v1;seed=..;..."      # replay one case
  *   mgsec_fuzz --inject-bug counterskip ...  # oracle mutation check
  *
- * Exit status: 0 when every case passed (or, with --inject-bug, when
- * the oracle caught the bug), 1 on a security-property failure, 2 on
- * usage errors. On failure the shrunk repro string and the findings
- * go to stdout and, with --artifact PATH, to a file CI can upload.
+ * On failure the shrunk repro string and the findings go to stdout
+ * and, with --artifact PATH, to a file CI can upload; `--help` gives
+ * the exit statuses.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "core/flags.hh"
 #include "verify/fuzz.hh"
 
 namespace
 {
 
 using namespace mgsec::verify;
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--budget SECONDS] [--seed N] [--max-runs N]\n"
-        "          [--repro STRING] [--inject-bug counterskip|"
-        "stalecipher]\n"
-        "          [--artifact PATH] [--sim-threads N]\n"
-        "          [--topology p2p|nvswitch|hier] [--nodes N]\n"
-        "          [--verbose]\n"
-        "  --sim-threads N   run every case on the domain-sharded\n"
-        "                    event kernel (repros still replay "
-        "serially)\n"
-        "  --topology T      fabric for every case (default p2p;\n"
-        "                    part of the repro, unlike --sim-threads)\n"
-        "  --nodes N         fix the node count of every case\n"
-        "                    (default: generator's choice, 2..4)\n",
-        argv0);
-    return 2;
-}
 
 void
 printFindings(const std::vector<Finding> &findings, std::FILE *out)
@@ -109,78 +86,45 @@ main(int argc, char **argv)
     std::string repro;
     std::string artifact;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--budget") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cc.budgetSeconds = std::atof(v);
-        } else if (arg == "--seed") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cc.seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--max-runs") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cc.maxRuns = static_cast<std::uint32_t>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--repro") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            repro = v;
-        } else if (arg == "--inject-bug") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            if (std::strcmp(v, "counterskip") == 0) {
-                cc.injectBug = SeededBug::CounterSkip;
-            } else if (std::strcmp(v, "stalecipher") == 0) {
-                cc.injectBug = SeededBug::StaleCipher;
-            } else {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--artifact") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            artifact = v;
-        } else if (arg == "--sim-threads") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            const unsigned long t = std::strtoul(v, nullptr, 10);
-            if (t < 1 || t > 256)
-                return usage(argv[0]);
-            cc.simThreads = static_cast<std::uint32_t>(t);
-        } else if (arg == "--topology") {
-            const char *v = value();
-            if (v == nullptr ||
-                !mgsec::parseTopologyKind(v, cc.topology.kind))
-                return usage(argv[0]);
-        } else if (arg == "--nodes") {
-            const char *v = value();
-            if (v == nullptr)
-                return usage(argv[0]);
-            const unsigned long n = std::strtoul(v, nullptr, 10);
-            if (n < 2 || n > 256)
-                return usage(argv[0]);
-            cc.numNodes = static_cast<std::uint32_t>(n);
-        } else if (arg == "--verbose") {
-            cc.verbose = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    using namespace mgsec;
+    Flags("usage: mgsec_fuzz [options]\n"
+          "Exit status: 0 when every case passed (with --inject-bug: "
+          "when the oracle\ncaught the bug), 1 on a failure, 2 on a "
+          "usage error. --topology is part\nof the repro; --sim-threads "
+          "is not (repros still replay serially).\n\n")
+        .add(numberFlag("budget", "SECONDS",
+                        "wall-clock budget (default 60 when neither\n"
+                        "--budget nor --max-runs is given)",
+                        cc.budgetSeconds, 0.0, 1e9))
+        .add(numberFlag("seed", "N", "campaign seed (default 1)", cc.seed,
+                        0, UINT64_MAX))
+        .add(numberFlag("max-runs", "N",
+                        "deterministic cap on generated cases", cc.maxRuns,
+                        0u, UINT32_MAX))
+        .add(textFlag("repro", "STRING",
+                      "replay one case from its repro string", repro))
+        .add({"inject-bug", "BUG",
+              "counterskip|stalecipher: the campaign must catch it",
+              [&cc](const std::string &v) {
+                  if (v == "counterskip")
+                      cc.injectBug = SeededBug::CounterSkip;
+                  else if (v == "stalecipher")
+                      cc.injectBug = SeededBug::StaleCipher;
+                  else
+                      return false;
+                  return true;
+              }})
+        .add(textFlag("artifact", "PATH",
+                      "write the repro and findings here on failure",
+                      artifact))
+        .add(simThreadsFlag(cc.simThreads))
+        .add(topologyFlag(cc.topology.kind))
+        .add(numberFlag("nodes", "N",
+                        "fix the node count of every case\n"
+                        "(default: generator's choice, 2..4)",
+                        cc.numNodes, 2u, 256u))
+        .add(switchFlag("verbose", "print a line per case", cc.verbose))
+        .parseOrExit(argc, argv);
 
     if (!repro.empty())
         return replayRepro(repro, artifact);

@@ -28,12 +28,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/compare.hh"
+#include "core/flags.hh"
 #include "core/json_in.hh"
 #include "sim/json_writer.hh"
 #include "verify/observer_adversary.hh"
@@ -43,42 +45,6 @@ namespace
 
 using mgsec::CompareStats;
 using mgsec::JsonValue;
-
-int
-usage(const char *argv0, int status)
-{
-    std::ostream &os = status == 0 ? std::cout : std::cerr;
-    os << "usage: " << argv0 << " [options] INPUT\n"
-       << "       " << argv0 << " [options] --compare OLD NEW\n"
-       << "\n"
-       << "INPUT, OLD, NEW are stats/histogram JSON files "
-       << "(--stats-json dumps,\n"
-       << "sweep --json results, HIST_*.json) or --observe "
-       << "directories holding\n"
-       << "an OBSERVE_INDEX.json.\n"
-       << "\n"
-       << "  --compare OLD NEW  diff two inputs instead of printing "
-       << "a breakdown\n"
-       << "  --threshold PCT    flag leaves moving more than PCT% "
-       << "(default 10)\n"
-       << "  --out FILE         compare verdict JSON (default "
-       << "BENCH_report.json)\n"
-       << "  --ignore SUBSTR    skip paths containing SUBSTR "
-       << "(repeatable;\n"
-       << "                     wall-clock rates are always "
-       << "ignored)\n"
-       << "  --leakage-json FILE  also write the leakage/frontier "
-       << "section as JSON\n"
-       << "                     (report mode on an --observe "
-       << "directory with WIRE files)\n"
-       << "  --prof             INPUT is a PROF_*.json self-profiler "
-       << "dump (or an\n"
-       << "                     --observe directory with PROF files): "
-       << "print the\n"
-       << "                     host phase breakdown and PDES "
-       << "efficiency verdict\n";
-    return status;
-}
 
 bool
 isObserveDir(const std::string &path)
@@ -610,46 +576,58 @@ main(int argc, char **argv)
     bool compare = false;
     bool prof = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for '%s'\n",
-                             arg.c_str());
-                std::exit(usage(argv[0], 2));
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            return usage(argv[0], 0);
-        } else if (arg == "--compare") {
-            compare = true;
-        } else if (arg == "--prof") {
-            prof = true;
-        } else if (arg == "--threshold") {
-            threshold = std::atof(value());
-            if (!(threshold >= 0.0)) {
-                std::fprintf(stderr, "bad --threshold value\n");
-                return 2;
-            }
-        } else if (arg == "--out") {
-            outPath = value();
-        } else if (arg == "--ignore") {
-            ignores.push_back(value());
-        } else if (arg == "--leakage-json") {
-            leakageJson = value();
-        } else if (arg == "--stats-json" || arg == "--observe") {
-            inputs.push_back(value());
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-            return usage(argv[0], 2);
-        } else {
-            inputs.push_back(arg);
-        }
+    using namespace mgsec;
+    auto addInput = [&inputs](const std::string &v) {
+        inputs.push_back(v);
+        return true;
+    };
+    Flags flags(
+        "usage: mgsec_report [options] INPUT\n"
+        "       mgsec_report [options] --compare OLD NEW\n\n"
+        "INPUT, OLD, NEW are stats/histogram JSON files (--stats-json "
+        "dumps,\nsweep --json results, HIST_*.json) or --observe "
+        "directories holding\nan OBSERVE_INDEX.json.\n\n");
+    flags
+        .add(switchFlag("compare",
+                        "diff two inputs instead of printing a breakdown",
+                        compare))
+        .add(numberFlag("threshold", "PCT",
+                        "flag leaves moving more than PCT% (default 10)",
+                        threshold, 0.0,
+                        std::numeric_limits<double>::infinity()))
+        .add(textFlag("out", "FILE",
+                      "compare verdict JSON (default BENCH_report.json)",
+                      outPath))
+        .add(Flag{"ignore", "SUBSTR",
+                  "skip paths containing SUBSTR (repeatable;\n"
+                  "wall-clock rates are always ignored)",
+                  [&ignores](const std::string &v) {
+                      ignores.push_back(v);
+                      return true;
+                  }}
+                 .repeat())
+        .add(textFlag("leakage-json", "FILE",
+                      "also write the leakage/frontier section as JSON\n"
+                      "(report mode on an --observe directory with WIRE "
+                      "files)",
+                      leakageJson))
+        .add(switchFlag("prof",
+                        "INPUT is a PROF_*.json self-profiler dump (or "
+                        "an\n--observe directory with PROF files): print "
+                        "the\nhost phase breakdown and PDES efficiency "
+                        "verdict",
+                        prof))
+        // Named spellings of a bare INPUT.
+        .add(Flag{"stats-json", "FILE", "", addInput}.repeat().hide())
+        .add(Flag{"observe", "DIR", "", addInput}.repeat().hide())
+        .positional(addInput)
+        .parseOrExit(argc, argv);
+    if (compare ? inputs.size() != 2 : inputs.size() != 1) {
+        std::fprintf(stderr, "expected %s\n",
+                     compare ? "OLD and NEW inputs" : "one INPUT");
+        flags.usage(std::cerr);
+        return 2;
     }
-
-    if (compare ? inputs.size() != 2 : inputs.size() != 1)
-        return usage(argv[0], 2);
 
     // Resolve each input to named JSON documents: a file is one
     // document; an --observe directory is one per indexed run,
@@ -668,9 +646,8 @@ main(int argc, char **argv)
                         (prof ? "PROF_" : "STATS_") + hash + ".json";
                     if (prof &&
                         !static_cast<bool>(std::ifstream(path))) {
-                        // mgsec_run --observe-dir bundles carry no
-                        // PROF file; a killed sweep may index runs
-                        // it never profiled. Report what exists.
+                        // A killed sweep may index runs it never
+                        // profiled. Report what exists.
                         std::fprintf(stderr, "%s: absent, skipped\n",
                                      path.c_str());
                         continue;

@@ -26,15 +26,12 @@ main(int argc, char **argv)
 {
     RunOptions opts;
     if (!opts.parse(argc, argv))
-        return 1;
+        return 2;
     if (!opts.finalizeObservability())
         return 1;
 
-    const double scale = opts.exp.strongScaling
-        ? opts.exp.scale * kScalingBaselineGpus / opts.exp.numGpus
-        : opts.exp.scale;
-    const WorkloadProfile profile =
-        makeProfile(opts.workload, scale, opts.exp.numGpus);
+    const WorkloadProfile profile = makeProfile(
+        opts.workload, workloadScale(opts.exp), opts.exp.numGpus);
 
     if (!opts.traceRecord.empty()) {
         for (NodeId g = 1; g <= opts.exp.numGpus; ++g) {

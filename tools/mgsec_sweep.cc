@@ -5,10 +5,6 @@
  * protection scheme, plus traffic ratios. This is the "is the model
  * calibrated?" dashboard used while developing the reproduction.
  *
- * Usage: mgsec_sweep [--gpus N] [--scale F] [--seeds N] [--jobs N]
- *                    [--json FILE] [--observe DIR] [--debug FLAGS]
- *                    [--shape P[,P..]] [--workloads W[,W..]]
- *
  * The matrix runs on the parallel job pool; the unsecure baseline of
  * each (workload, seed) is simulated once and shared by all six
  * configurations, and results are keyed by submission order, so any
@@ -103,13 +99,8 @@ main(int argc, char **argv)
 {
     SweepArgs args;
     args.scale = 1.0;
-    args.acceptGpus = true;
-    args.acceptJson = true;
-    args.acceptObserve = true;
-    args.acceptShape = true;
-    args.acceptWorkloads = true;
-    args.acceptTopology = true;
-    args.parseArgs(argc, argv);
+    args.parseArgs(argc, argv, {"gpus", "json", "observe", "shape",
+                                "workloads", "topology"});
 
     // With the default --shape none / all-workloads arguments the
     // loops below degenerate to the historical single matrix and the
