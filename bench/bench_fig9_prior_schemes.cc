@@ -17,8 +17,8 @@ using namespace mgsec::bench;
 int
 main(int argc, char **argv)
 {
-    // --json: machine-readable results, the regression-gate seed
-    // (BENCH_baseline.json) that CI diffs with mgsec_report.
+    // --json: machine-readable results; the Golden.fig9 ctest
+    // compares them byte for byte with tests/golden/fig9.json.
     BenchArgs args;
     args.parseArgs(argc, argv, {"json"});
     banner("Fig. 9 — prior OTP buffer management schemes",

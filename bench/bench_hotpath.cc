@@ -1,16 +1,17 @@
 /**
  * @file
- * Self-measuring perf harness for the simulator's hot paths.
+ * Wall-clock gates on the simulator itself.
  *
  * Unlike the figure benches (which measure the *simulated* system),
- * this driver measures the simulator itself: raw event-queue
- * throughput, packet pool recycling, GHASH bandwidth of the
- * table-driven path against the bit-serial reference, and the
- * end-to-end wall-clock of a reference workload. CI runs it on every
- * push so hot-path regressions show up as numbers, not vibes.
+ * this driver times host code, in the four places where CI gates a
+ * ratio that perfbench does not report yet: GHASH table-driven vs.
+ * bit-serial, the SIMD crypto tier vs. the portable one, the sharded
+ * kernel at 1/2/4 workers (with its zero-fresh-allocation guarantee)
+ * and the self-profiler's overhead. Every simulated count is gated
+ * exactly by the tier-1 goldens instead (tests/golden/).
  *
  * `bench_hotpath --help` lists the flags. --scale sizes the
- * end-to-end runs; --crypto-impl picks the tier of the non-crypto
+ * simulation runs; --crypto-impl picks the tier of the non-crypto
  * sections (the cryptoTiers section always measures both).
  */
 
@@ -33,8 +34,6 @@
 #include "crypto/gcm.hh"
 #include "crypto/ghash.hh"
 #include "crypto/otp.hh"
-#include "net/packet_pool.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
 
@@ -286,166 +285,6 @@ benchCryptoTiers(bool quick)
 }
 
 // --------------------------------------------------------------------
-// Event queue: steady-state schedule/run throughput.
-// --------------------------------------------------------------------
-
-struct EventQueueResult
-{
-    double eventsPerSec = 0.0;
-    std::uint64_t events = 0;
-};
-
-EventQueueResult
-benchEventQueue(bool quick)
-{
-    // Model the simulator's steady state: a fixed population of
-    // in-flight events, each rescheduling itself on execution, so the
-    // queue churns at constant depth exactly like a run at peak
-    // occupancy.
-    const std::uint64_t kPopulation = 1024;
-    const std::uint64_t kTotal = quick ? 2'000'000 : 16'000'000;
-
-    EventQueue eq;
-    eq.reserve(kPopulation);
-    std::uint64_t fired = 0;
-
-    struct Self
-    {
-        EventQueue *eq;
-        std::uint64_t *fired;
-        std::uint64_t total;
-        std::uint64_t delta;
-
-        void
-        operator()() const
-        {
-            ++*fired;
-            if (*fired + 1024 <= total) {
-                Self next = *this;
-                eq->scheduleIn(static_cast<Cycles>(delta), next);
-            }
-        }
-    };
-
-    const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kPopulation; ++i) {
-        // Mixed deltas exercise real heap reordering, not FIFO.
-        eq.schedule(i % 7 + 1,
-                    Self{&eq, &fired, kTotal, i % 13 + 1});
-    }
-    eq.run();
-    const double secs = secondsSince(t0);
-
-    EventQueueResult r;
-    r.events = eq.executed();
-    r.eventsPerSec = static_cast<double>(r.events) / secs;
-    return r;
-}
-
-// --------------------------------------------------------------------
-// Packet pool: acquire/release churn, pooled vs. plain allocation.
-// --------------------------------------------------------------------
-
-struct PacketPoolResult
-{
-    double pooledPacketsPerSec = 0.0;
-    double mallocPacketsPerSec = 0.0;
-    double speedup = 0.0;
-    std::uint64_t reusedPackets = 0;
-    std::uint64_t freshPackets = 0;
-};
-
-double
-packetChurn(std::uint64_t iters)
-{
-    // Eight in flight at a time — roughly a link's worth of packets
-    // between a sender and its ACK.
-    constexpr std::size_t kInFlight = 8;
-    const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i) {
-        PacketPtr live[kInFlight];
-        for (std::size_t j = 0; j < kInFlight; ++j) {
-            live[j] = makePacket();
-            live[j]->src = 1;
-            live[j]->dst = 2;
-            live[j]->payloadBytes = 128;
-            live[j]->acks.push_back({2, i, 0});
-        }
-        g_sink += live[0]->payloadBytes;
-        // Destructors release all eight back to the pool.
-    }
-    const double secs = secondsSince(t0);
-    return static_cast<double>(iters) * kInFlight / secs;
-}
-
-PacketPoolResult
-benchPacketPool(bool quick)
-{
-    const std::uint64_t iters = quick ? 250'000 : 2'000'000;
-    PacketPoolResult r;
-
-    PacketPool::setEnabled(true);
-    PacketPool::resetStats();
-    packetChurn(iters / 10); // warm the free list
-    PacketPool::resetStats();
-    r.pooledPacketsPerSec = packetChurn(iters);
-    r.reusedPackets = PacketPool::stats().reusedPackets;
-    r.freshPackets = PacketPool::stats().freshPackets;
-
-    PacketPool::setEnabled(false);
-    r.mallocPacketsPerSec = packetChurn(iters);
-    PacketPool::setEnabled(true);
-
-    r.speedup = r.pooledPacketsPerSec / r.mallocPacketsPerSec;
-    return r;
-}
-
-// --------------------------------------------------------------------
-// End to end: wall-clock of one reference workload.
-// --------------------------------------------------------------------
-
-struct EndToEndResult
-{
-    std::string workload;
-    double wallSec = 0.0;
-    std::uint64_t simCycles = 0;
-    std::uint64_t events = 0;
-    std::uint64_t packets = 0;
-    double cyclesPerSec = 0.0;
-    double eventsPerSec = 0.0;
-    double packetsPerSec = 0.0;
-};
-
-EndToEndResult
-benchEndToEnd(double scale, bool quick)
-{
-    // The paper's headline configuration: dynamic scheme + batching.
-    ExperimentConfig cfg;
-    cfg.scheme = OtpScheme::Dynamic;
-    cfg.batching = true;
-    cfg.scale = quick ? scale * 0.5 : scale;
-
-    EndToEndResult r;
-    r.workload = "mm";
-
-    const WorkloadProfile profile =
-        makeProfile(r.workload, cfg.scale, cfg.numGpus);
-    MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-
-    const auto t0 = Clock::now();
-    const RunResult run = sys.run();
-    r.wallSec = secondsSince(t0);
-
-    r.simCycles = run.cycles;
-    r.events = sys.executedEvents();
-    r.packets = run.packets;
-    r.cyclesPerSec = static_cast<double>(r.simCycles) / r.wallSec;
-    r.eventsPerSec = static_cast<double>(r.events) / r.wallSec;
-    r.packetsPerSec = static_cast<double>(r.packets) / r.wallSec;
-    return r;
-}
-
-// --------------------------------------------------------------------
 // Sharded kernel: one wide (16-GPU) simulation at 1/2/4 sim threads.
 // Reports events/s and speedup over one worker, and hard-fails if the
 // kernel breaks either guarantee: results must be thread-count
@@ -546,79 +385,6 @@ benchSimThreads(double scale, bool quick)
 }
 
 // --------------------------------------------------------------------
-// Observability: end-to-end with trace + metrics on vs. off, plus a
-// proof that compiled-in-but-disabled hooks stay allocation-free.
-// --------------------------------------------------------------------
-
-struct ObserveResult
-{
-    double wallSecOff = 0.0;
-    double wallSecOn = 0.0;
-    double overheadPct = 0.0;
-    std::uint64_t traceEvents = 0;
-    std::uint64_t metricSamples = 0;
-    std::uint64_t attrFolds = 0;
-    std::uint64_t freshAfterTrace = 0;
-};
-
-/** Swallows trace bytes so only event formatting is measured. */
-struct NullBuf : std::streambuf
-{
-    int
-    overflow(int c) override
-    {
-        return c;
-    }
-
-    std::streamsize
-    xsputn(const char *, std::streamsize n) override
-    {
-        return n;
-    }
-};
-
-ObserveResult
-benchObserve(double scale, bool quick)
-{
-    ExperimentConfig cfg;
-    cfg.scheme = OtpScheme::Dynamic;
-    cfg.batching = true;
-    cfg.scale = quick ? scale * 0.5 : scale;
-    const WorkloadProfile profile =
-        makeProfile("mm", cfg.scale, cfg.numGpus);
-
-    ObserveResult r;
-    {
-        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-        const auto t0 = Clock::now();
-        sys.run();
-        r.wallSecOff = secondsSince(t0);
-    }
-    {
-        NullBuf nb;
-        std::ostream null_os(&nb);
-        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
-        sys.enableTrace(null_os);
-        sys.enableAttribution();
-        sys.enableMetrics(1000, 4096);
-        const auto t0 = Clock::now();
-        sys.run();
-        r.wallSecOn = secondsSince(t0);
-        r.traceEvents = sys.traceSink()->events();
-        r.metricSamples = sys.metrics()->samples();
-        r.attrFolds = sys.attribution()->folds();
-    }
-    r.overheadPct = (r.wallSecOn / r.wallSecOff - 1.0) * 100.0;
-
-    // With the sinks gone, the hooks must again cost exactly one
-    // null test: a warm churn may not touch the allocator.
-    PacketPool::resetStats();
-    packetChurn(quick ? 25'000 : 200'000);
-    r.freshAfterTrace = PacketPool::stats().freshPackets;
-    return r;
-}
-
-// --------------------------------------------------------------------
 // Self-profiler: end-to-end with the host profiler off vs. on. Off
 // must cost nothing (the hooks are one null pointer test); on must
 // stay under a couple percent. A profiled sharded run must also keep
@@ -704,9 +470,7 @@ benchProfiler(double scale, bool quick)
 
 void
 writeJson(const std::string &path, const GhashResult &gh,
-          const CryptoTiersResult &ct, const EventQueueResult &eq,
-          const PacketPoolResult &pp, const EndToEndResult &e2e,
-          const SimThreadsResult &st, const ObserveResult &obs,
+          const CryptoTiersResult &ct, const SimThreadsResult &st,
           const ProfilerResult &pr)
 {
     std::ofstream os(path);
@@ -746,30 +510,6 @@ writeJson(const std::string &path, const GhashResult &gh,
     w.field("padDeriveSpeedup", ct.padDeriveSpeedup);
     w.endObject();
 
-    w.key("eventQueue").beginObject();
-    w.field("eventsPerSec", eq.eventsPerSec);
-    w.field("events", eq.events);
-    w.endObject();
-
-    w.key("packetPool").beginObject();
-    w.field("pooledPacketsPerSec", pp.pooledPacketsPerSec);
-    w.field("mallocPacketsPerSec", pp.mallocPacketsPerSec);
-    w.field("speedup", pp.speedup);
-    w.field("reusedPackets", pp.reusedPackets);
-    w.field("freshPackets", pp.freshPackets);
-    w.endObject();
-
-    w.key("endToEnd").beginObject();
-    w.field("workload", e2e.workload);
-    w.field("wallSec", e2e.wallSec);
-    w.field("simCycles", e2e.simCycles);
-    w.field("events", e2e.events);
-    w.field("packets", e2e.packets);
-    w.field("cyclesPerSec", e2e.cyclesPerSec);
-    w.field("eventsPerSec", e2e.eventsPerSec);
-    w.field("packetsPerSec", e2e.packetsPerSec);
-    w.endObject();
-
     w.key("simThreads").beginObject();
     w.field("hwThreads", static_cast<std::uint64_t>(st.hwThreads));
     for (const SimThreadsPoint &p : st.points) {
@@ -786,16 +526,6 @@ writeJson(const std::string &path, const GhashResult &gh,
         w.field("poolFreshPayloads", p.poolFreshPayloads);
         w.endObject();
     }
-    w.endObject();
-
-    w.key("observe").beginObject();
-    w.field("wallSecOff", obs.wallSecOff);
-    w.field("wallSecOn", obs.wallSecOn);
-    w.field("overheadPct", obs.overheadPct);
-    w.field("traceEvents", obs.traceEvents);
-    w.field("metricSamples", obs.metricSamples);
-    w.field("attrFolds", obs.attrFolds);
-    w.field("freshAfterTrace", obs.freshAfterTrace);
     w.endObject();
 
     w.key("profiler").beginObject();
@@ -871,29 +601,6 @@ main(int argc, char **argv)
                     ct.padDerivePortablePerSec);
     }
 
-    const EventQueueResult eq = benchEventQueue(args.quick);
-    std::printf("event queue %9.2f Mevents/s   (%llu events)\n",
-                eq.eventsPerSec / 1e6,
-                static_cast<unsigned long long>(eq.events));
-
-    const PacketPoolResult pp = benchPacketPool(args.quick);
-    std::printf("packet pool %9.2f Mpkts/s pooled   %6.2f Mpkts/s "
-                "malloc   speedup %.2fx\n",
-                pp.pooledPacketsPerSec / 1e6,
-                pp.mallocPacketsPerSec / 1e6, pp.speedup);
-    if (pp.freshPackets != 0) {
-        std::printf("  WARNING: %llu fresh allocations after warm-up "
-                    "(expected 0)\n",
-                    static_cast<unsigned long long>(pp.freshPackets));
-    }
-
-    const EndToEndResult e2e = benchEndToEnd(args.scale, args.quick);
-    std::printf("end-to-end  %s: %.2f s wall   %.1f Mcycles/s   "
-                "%.2f Mevents/s   %.0f kpkts/s\n",
-                e2e.workload.c_str(), e2e.wallSec,
-                e2e.cyclesPerSec / 1e6, e2e.eventsPerSec / 1e6,
-                e2e.packetsPerSec / 1e3);
-
     const SimThreadsResult st = benchSimThreads(args.scale, args.quick);
     for (const SimThreadsPoint &p : st.points) {
         std::printf("sim threads %u: %6.2f s wall   %6.2f Mevents/s"
@@ -911,21 +618,6 @@ main(int argc, char **argv)
                     st.hwThreads);
     }
 
-    const ObserveResult obs = benchObserve(args.scale, args.quick);
-    std::printf("observe     %.2f s off   %.2f s on   overhead "
-                "%+.1f%%   %llu trace events   %llu samples   "
-                "%llu folds\n",
-                obs.wallSecOff, obs.wallSecOn, obs.overheadPct,
-                static_cast<unsigned long long>(obs.traceEvents),
-                static_cast<unsigned long long>(obs.metricSamples),
-                static_cast<unsigned long long>(obs.attrFolds));
-    if (obs.freshAfterTrace != 0) {
-        std::printf("  WARNING: %llu fresh allocations in a warm "
-                    "churn after tracing (expected 0)\n",
-                    static_cast<unsigned long long>(
-                        obs.freshAfterTrace));
-    }
-
     const ProfilerResult pr = benchProfiler(args.scale, args.quick);
     std::printf("profiler    %.2f s off   %.2f s on   overhead "
                 "%+.1f%%   %llu spans   %llu sharded spans over "
@@ -936,7 +628,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(pr.shardedWindows));
 
     if (!args.json.empty()) {
-        writeJson(args.json, gh, ct, eq, pp, e2e, st, obs, pr);
+        writeJson(args.json, gh, ct, st, pr);
         std::cout << "\nwrote " << args.json << "\n";
     }
 

@@ -41,38 +41,6 @@ struct BenchArgs : SweepArgs
 /** Seed-averaged metrics of one configuration vs. its baseline. */
 using Norm = NormResult;
 
-/**
- * One-off seed-averaged normalized measurement — a thin wrapper over
- * a single-entry Sweep. Benches measuring more than one
- * configuration should batch them on one Sweep instead so the runs
- * overlap and baselines are shared.
- */
-inline Norm
-runNormalized(const std::string &wl, const ExperimentConfig &cfg,
-              const BenchArgs &args)
-{
-    Sweep sweep(args);
-    const std::size_t h = sweep.addNormalized(wl, cfg);
-    sweep.run();
-    return sweep.normalized(h);
-}
-
-/**
- * An unnormalized run (pattern/burstiness figures). Applies
- * args.scale but runs cfg.seed verbatim: --seeds deliberately does
- * NOT apply here, because these figures show one representative
- * run's time series, not a seed average.
- */
-inline RunResult
-runOnce(const std::string &wl, const ExperimentConfig &cfg,
-        const BenchArgs &args)
-{
-    Sweep sweep(args);
-    const std::size_t h = sweep.addRaw(wl, cfg);
-    sweep.run();
-    return sweep.raw(h);
-}
-
 inline void
 banner(const char *title, const char *paper_ref)
 {

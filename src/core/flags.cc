@@ -61,6 +61,26 @@ parseNumber(const std::string &text, unsigned long long lo,
            });
 }
 
+bool
+parseScheme(const std::string &text, OtpScheme &out)
+{
+    std::string t = text;
+    std::transform(t.begin(), t.end(), t.begin(), ::tolower);
+    if (t == "unsecure" || t == "none")
+        out = OtpScheme::Unsecure;
+    else if (t == "private")
+        out = OtpScheme::Private;
+    else if (t == "shared")
+        out = OtpScheme::Shared;
+    else if (t == "cached")
+        out = OtpScheme::Cached;
+    else if (t == "dynamic")
+        out = OtpScheme::Dynamic;
+    else
+        return false;
+    return true;
+}
+
 Flag
 textFlag(std::string name, std::string metavar, std::string help,
          std::string &out)
@@ -164,6 +184,13 @@ Flags::positional(Flag::Setter set)
     return *this;
 }
 
+Flags &
+Flags::check(std::function<std::string()> fn)
+{
+    checks_.push_back(std::move(fn));
+    return *this;
+}
+
 const Flag *
 Flags::find(const std::string &name) const
 {
@@ -204,6 +231,11 @@ Flags::parse(int argc, char **argv) const
         const std::string value = f->isSwitch ? "" : argv[++i];
         if (!f->set(value))
             return fail("bad value '" + value + "' for '" + arg + "'");
+    }
+    for (const auto &c : checks_) {
+        const std::string err = c();
+        if (!err.empty())
+            return fail(err);
     }
     return Status::Ok;
 }

@@ -19,6 +19,7 @@
 
 #include "crypto/dispatch.hh"
 #include "net/topology.hh"
+#include "secure/pad_table.hh"
 
 namespace mgsec
 {
@@ -31,6 +32,9 @@ bool parseNumber(const std::string &text, long long lo, long long hi,
                  long long &out);
 bool parseNumber(const std::string &text, unsigned long long lo,
                  unsigned long long hi, unsigned long long &out);
+
+/** Parse a scheme name ("private", "Dynamic", "none", ...). */
+bool parseScheme(const std::string &text, OtpScheme &out);
 
 /** One command-line flag. */
 struct Flag
@@ -106,6 +110,9 @@ class Flags
     Flags &add(Flag f);
     /** Hand bare (non-dash) arguments to @p set; else they fail. */
     Flags &positional(Flag::Setter set);
+    /** A constraint across flags, checked once argv is applied: a
+     *  non-empty message fails the parse like a bad value. */
+    Flags &check(std::function<std::string()> fn);
 
     /** The flag named @p name (no leading "--"), or nullptr. */
     const Flag *find(const std::string &name) const;
@@ -124,6 +131,7 @@ class Flags
     std::string head_;
     std::vector<Flag> flags_;
     Flag::Setter positional_;
+    std::vector<std::function<std::string()>> checks_;
 };
 
 } // namespace mgsec

@@ -7,6 +7,9 @@
 #include <fstream>
 #include <iostream>
 
+#include "secure/batching.hh"
+#include "secure/pad_pipeline.hh"
+
 namespace mgsec
 {
 
@@ -21,26 +24,6 @@ parseShaping(const std::string &text, ShapingPolicy &out)
         out = ShapingPolicy::ConstantRate;
     else if (t == "batch-jitter" || t == "jitter")
         out = ShapingPolicy::BatchJitter;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseScheme(const std::string &text, OtpScheme &out)
-{
-    std::string t = text;
-    std::transform(t.begin(), t.end(), t.begin(), ::tolower);
-    if (t == "unsecure" || t == "none")
-        out = OtpScheme::Unsecure;
-    else if (t == "private")
-        out = OtpScheme::Private;
-    else if (t == "shared")
-        out = OtpScheme::Shared;
-    else if (t == "cached")
-        out = OtpScheme::Cached;
-    else if (t == "dynamic")
-        out = OtpScheme::Dynamic;
     else
         return false;
     return true;
@@ -99,11 +82,11 @@ RunOptions::flags()
         .add(onOffFlag("batching", "metadata batching on/off",
                        exp.batching))
         .add(numberFlag("batch-size", "N", "batch length (default 16)",
-                        exp.batchSize, 1u, 1u << 20))
+                        exp.batchSize, kMinBatchSize, kMaxBatchSize))
         .add(numberFlag("otp-mult", "N", "OTP Nx quota (default 4)",
                         exp.otpMult, 1u, 1u << 20))
         .add(numberFlag("aes-latency", "C", "AES-GCM latency in cycles",
-                        exp.aesLatency, 0, 1ULL << 32))
+                        exp.aesLatency, kMinAesLatency, 1ULL << 32))
         .add(scaleFlag(exp.scale))
         .add(numberFlag("seed", "N", "RNG seed", exp.seed, 0,
                         UINT64_MAX))
@@ -197,7 +180,9 @@ RunOptions::flags()
                         exp.debugPadStallPct, 0u, 10000u).hide())
         .add(debugFlag())
         .add({"config", "FILE", "read 'key = value' lines first",
-              [this](const std::string &v) { return loadFile(v); }});
+              [this](const std::string &v) { return loadFile(v); }})
+        .check([this] { return topologyError(exp.topology, exp.numGpus); })
+        .check([this] { return observeConflict(); });
     return t;
 }
 
@@ -216,18 +201,28 @@ RunOptions::set(const std::string &key, const std::string &value)
     return false;
 }
 
+std::string
+RunOptions::observeConflict() const
+{
+    const ObserveConfig &obs = exp.observe;
+    if (observeDir.empty() ||
+        (obs.metricsOut.empty() && obs.traceOut.empty() &&
+         obs.statsJsonOut.empty() && obs.histJsonOut.empty() &&
+         obs.wireOut.empty() && obs.profOut.empty()))
+        return "";
+    return "--observe-dir bundles --metrics-out/--trace-out/"
+           "--stats-json/--hist-json/--wire-json/--prof-out; remove "
+           "the explicit path options";
+}
+
 bool
 RunOptions::finalizeObservability()
 {
     if (observeDir.empty())
         return true;
-    const ObserveConfig &obs = exp.observe;
-    if (!obs.metricsOut.empty() || !obs.traceOut.empty() ||
-        !obs.statsJsonOut.empty() || !obs.histJsonOut.empty() ||
-        !obs.wireOut.empty() || !obs.profOut.empty()) {
-        std::cerr << "--observe-dir bundles --metrics-out/--trace-out/"
-                     "--stats-json/--hist-json/--wire-json/--prof-out; "
-                     "remove the explicit path options\n";
+    const std::string conflict = observeConflict();
+    if (!conflict.empty()) {
+        std::cerr << conflict << "\n";
         return false;
     }
     std::error_code ec;

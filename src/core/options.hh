@@ -20,9 +20,6 @@
 namespace mgsec
 {
 
-/** Parse a scheme name ("private", "Dynamic", ...). */
-bool parseScheme(const std::string &text, OtpScheme &out);
-
 /** Parse a shaping-policy name ("none", "constant-rate", ...). */
 bool parseShaping(const std::string &text, ShapingPolicy &out);
 
@@ -47,6 +44,10 @@ struct RunOptions
      * exclusive with the explicit per-sink path options.
      */
     std::string observeDir;
+
+    /** Why observeDir conflicts with an explicit per-sink path, or
+     *  "" when it does not (parse() rejects a conflict). */
+    std::string observeConflict() const;
 
     /**
      * Resolve observeDir into concrete sink paths (after parse(),

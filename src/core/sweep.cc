@@ -107,7 +107,8 @@ SweepArgs::parseArgs(int argc, char **argv,
     MGSEC_ASSERT(added == optional.size(), "unknown optional sweep flag");
     t.add(cryptoImplFlag(cryptoImpl))
         .add(simThreadsFlag(simThreads))
-        .add(debugFlag());
+        .add(debugFlag())
+        .check([this] { return topologyError(topology, gpus); });
     t.parseOrExit(argc, argv);
 }
 

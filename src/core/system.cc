@@ -405,23 +405,16 @@ MultiGpuSystem::enableWireObserver()
 {
     if (wire_)
         return;
-    wire_ = std::make_unique<WireObserver>(cfg_.numNodes());
-    if (cfg_.topology.kind != TopologyKind::P2p) {
-        // Tag flows with the fabric's own link classes; the default
-        // pcie/nvlink split already matches the p2p fabric, and
-        // leaving it untouched keeps p2p WIRE artifacts
-        // byte-identical.
-        const Topology *topo = &net_->topology();
-        std::vector<std::string> names;
-        for (std::size_t l = 0; l < topo->numLinkClasses(); ++l)
-            names.emplace_back(
-                linkTypeName(static_cast<LinkType>(l)));
-        wire_->setLinkClasses(
-            std::move(names), [topo](NodeId src, NodeId dst) {
-                return static_cast<std::size_t>(
-                    topo->linkType(src, dst));
-            });
-    }
+    // Tag flows with the fabric's own link classes.
+    const Topology *topo = &net_->topology();
+    std::vector<std::string> names;
+    for (std::size_t l = 0; l < topo->numLinkClasses(); ++l)
+        names.emplace_back(linkTypeName(static_cast<LinkType>(l)));
+    wire_ = std::make_unique<WireObserver>(
+        cfg_.numNodes(), std::move(names),
+        [topo](NodeId src, NodeId dst) {
+            return static_cast<std::size_t>(topo->linkType(src, dst));
+        });
     net_->setWireObserver(wire_.get());
 }
 

@@ -13,13 +13,6 @@ namespace mgsec
 
 Network::Network(const std::string &name, EventQueue &eq,
                  std::uint32_t num_nodes, LinkParams pcie,
-                 LinkParams nvlink)
-    : Network(name, eq, num_nodes, pcie, nvlink, TopologyConfig{})
-{
-}
-
-Network::Network(const std::string &name, EventQueue &eq,
-                 std::uint32_t num_nodes, LinkParams pcie,
                  LinkParams nvlink, const TopologyConfig &topo)
     : SimObject(name, eq), num_nodes_(num_nodes), pcie_(pcie),
       nvlink_(nvlink),

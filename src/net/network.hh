@@ -43,20 +43,16 @@ class Network : public SimObject
     using Handler = std::function<void(PacketPtr)>;
 
     /**
-     * The historical point-to-point constructor.
      * @param num_nodes total processors (CPU is node 0), >= 2.
      * @param pcie per-direction parameters of each CPU<->GPU channel.
      * @param nvlink per-direction parameters of each GPU's shared
      *               inter-GPU port.
+     * @param topo the fabric (net/topology.hh); the paper's p2p one
+     *             by default.
      */
     Network(const std::string &name, EventQueue &eq,
             std::uint32_t num_nodes, LinkParams pcie,
-            LinkParams nvlink);
-
-    /** Fabric-selecting constructor (net/topology.hh). */
-    Network(const std::string &name, EventQueue &eq,
-            std::uint32_t num_nodes, LinkParams pcie,
-            LinkParams nvlink, const TopologyConfig &topo);
+            LinkParams nvlink, const TopologyConfig &topo = {});
 
     std::uint32_t numNodes() const { return num_nodes_; }
     const LinkParams &pcieParams() const { return pcie_; }
@@ -156,26 +152,6 @@ class Network : public SimObject
     setTamper(TamperPoint point, TamperHook h)
     {
         tamper_[static_cast<std::size_t>(point)] = std::move(h);
-    }
-
-    /**
-     * Legacy single-point form: a void meddler mounted post-wire
-     * that always forwards (the historical behavior).
-     */
-    using Tamper = std::function<void(Packet &)>;
-    void
-    setTamper(Tamper t)
-    {
-        if (!t) {
-            tamper_[static_cast<std::size_t>(TamperPoint::PostWire)] =
-                TamperHook{};
-            return;
-        }
-        setTamper(TamperPoint::PostWire,
-                  [t = std::move(t)](Packet &p) {
-                      t(p);
-                      return TamperVerdict::Forward;
-                  });
     }
 
     /** Packets a tamper hook dropped (either point). */

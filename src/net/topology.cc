@@ -20,6 +20,26 @@ parseTopologyKind(const std::string &text, TopologyKind &out)
     return true;
 }
 
+std::string
+topologyError(const TopologyConfig &cfg, std::uint32_t gpus)
+{
+    switch (cfg.kind) {
+      case TopologyKind::P2p:
+        break;
+      case TopologyKind::NvSwitch:
+        if (gpus > cfg.switchRadix)
+            return strformat("%u GPUs exceed switch radix %u", gpus,
+                             cfg.switchRadix);
+        break;
+      case TopologyKind::Hier:
+        if (cfg.gpusPerNode > cfg.switchRadix)
+            return strformat("%u GPUs per node exceed switch radix %u",
+                             cfg.gpusPerNode, cfg.switchRadix);
+        break;
+    }
+    return "";
+}
+
 Topology::Topology(const TopologyConfig &cfg, std::uint32_t num_nodes,
                    LinkParams pcie, LinkParams nvlink)
     : cfg_(cfg), num_nodes_(num_nodes), pcie_(pcie), nvlink_(nvlink)
@@ -140,9 +160,8 @@ class NvSwitchTopology : public Topology
                      LinkParams nvlink)
         : Topology(cfg, num_nodes, pcie, nvlink)
     {
-        MGSEC_ASSERT(num_nodes_ - 1 <= cfg_.switchRadix,
-                     "%u GPUs exceed switch radix %u", num_nodes_ - 1,
-                     cfg_.switchRadix);
+        const std::string err = topologyError(cfg_, num_nodes_ - 1);
+        MGSEC_ASSERT(err.empty(), "%s", err.c_str());
         fab_egress_.assign(num_nodes_,
                            Serializer(nvlink_.bytesPerCycle));
         sw_egress_.assign(num_nodes_,
@@ -207,9 +226,8 @@ class HierTopology : public Topology
         : Topology(cfg, num_nodes, pcie, nvlink)
     {
         MGSEC_ASSERT(cfg_.gpusPerNode >= 1, "empty fabric nodes");
-        MGSEC_ASSERT(cfg_.gpusPerNode <= cfg_.switchRadix,
-                     "%u GPUs per node exceed switch radix %u",
-                     cfg_.gpusPerNode, cfg_.switchRadix);
+        const std::string err = topologyError(cfg_, num_nodes_ - 1);
+        MGSEC_ASSERT(err.empty(), "%s", err.c_str());
         const std::uint32_t gpus = num_nodes_ - 1;
         fabric_nodes_ =
             (gpus + cfg_.gpusPerNode - 1) / cfg_.gpusPerNode;

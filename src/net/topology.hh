@@ -190,6 +190,13 @@ class Topology
     std::vector<Serializer> pcie_up_;
 };
 
+/**
+ * Why a @p cfg fabric cannot carry @p gpus GPUs (a crossbar with
+ * more GPUs than switch ports), or "" when it can. The flag parsers
+ * reject such a configuration; the fabrics assert it.
+ */
+std::string topologyError(const TopologyConfig &cfg, std::uint32_t gpus);
+
 /** Build the fabric @p cfg selects. */
 std::unique_ptr<Topology> makeTopology(const TopologyConfig &cfg,
                                        std::uint32_t num_nodes,

@@ -17,7 +17,8 @@ BatchAssembler::BatchAssembler(const std::string &name, EventQueue &eq,
       idle_timeout_(idle_timeout), flush_(std::move(flush)),
       open_(num_nodes)
 {
-    MGSEC_ASSERT(batch_size_ >= 2 && batch_size_ <= 255,
+    MGSEC_ASSERT(batch_size_ >= kMinBatchSize &&
+                     batch_size_ <= kMaxBatchSize,
                  "batch size %u out of range", batch_size_);
     regStat(opened_);
     regStat(closed_full_);

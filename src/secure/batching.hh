@@ -28,6 +28,11 @@
 namespace mgsec
 {
 
+/** Batch lengths the protocol can carry: a batch has at least two
+ *  messages, and its length must fit the 1-byte length field. */
+constexpr std::uint32_t kMinBatchSize = 2;
+constexpr std::uint32_t kMaxBatchSize = 255;
+
 /** What a packet must carry for the batch protocol. */
 struct BatchTag
 {

@@ -31,7 +31,8 @@ void
 PadPipeline::init(Tick now, Cycles latency, std::uint32_t quota,
                   std::uint64_t next_ctr)
 {
-    MGSEC_ASSERT(latency > 0, "AES latency must be positive");
+    MGSEC_ASSERT(latency >= kMinAesLatency,
+                 "AES latency must be positive");
     latency_ = latency;
     quota_ = quota;
     front_ctr_ = next_ctr;

@@ -27,6 +27,9 @@
 namespace mgsec
 {
 
+/** Pad generation takes at least one cycle. */
+constexpr Cycles kMinAesLatency = 1;
+
 class PadPipeline
 {
   public:

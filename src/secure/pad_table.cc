@@ -30,7 +30,8 @@ PadTable::PadTable(const std::string &name, EventQueue &eq, NodeId self,
 {
     MGSEC_ASSERT(num_nodes_ >= 2 && self_ < num_nodes_,
                  "bad pad table topology");
-    MGSEC_ASSERT(latency_ > 0, "AES latency must be positive");
+    MGSEC_ASSERT(latency_ >= kMinAesLatency,
+                 "AES latency must be positive");
     regStat(send_hits_);
     regStat(send_partials_);
     regStat(send_misses_);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 #include <sstream>
 
 namespace mgsec::debug
@@ -19,6 +20,8 @@ registry()
 }
 
 std::ostream *sink = nullptr;
+/** Window-kernel workers trace concurrently into the one stream. */
+std::mutex sink_mu;
 
 } // anonymous namespace
 
@@ -111,6 +114,7 @@ void
 print(Tick tick, const std::string &component,
       const std::string &message)
 {
+    const std::lock_guard<std::mutex> lock(sink_mu);
     stream() << tick << ": " << component << ": " << message << "\n";
 }
 

@@ -16,25 +16,18 @@ WireObserver::Flow::Flow()
 {
 }
 
-WireObserver::WireObserver(std::uint32_t num_nodes, Params p)
-    : num_nodes_(num_nodes), params_(p),
+WireObserver::WireObserver(
+    std::uint32_t num_nodes, std::vector<std::string> class_names,
+    const std::function<std::size_t(NodeId, NodeId)> &classify)
+    : num_nodes_(num_nodes),
       flows_(static_cast<std::size_t>(num_nodes) * num_nodes),
-      class_names_{"pcie", "nvlink"},
-      classify_([](NodeId src, NodeId dst) -> std::size_t {
-          return src == 0 || dst == 0 ? 0 : 1;
-      }),
-      classes_(2)
+      class_names_(std::move(class_names)),
+      classes_(class_names_.size())
 {
-}
-
-void
-WireObserver::setLinkClasses(
-    std::vector<std::string> names,
-    std::function<std::size_t(NodeId, NodeId)> classify)
-{
-    class_names_ = std::move(names);
-    classify_ = std::move(classify);
-    classes_.assign(class_names_.size(), LinkClass{});
+    for (NodeId s = 0; s < num_nodes_; ++s) {
+        for (NodeId d = 0; d < num_nodes_; ++d)
+            flow(s, d).link = classify(s, d);
+    }
 }
 
 WireObserver::Flow &
@@ -61,7 +54,7 @@ WireObserver::onWirePacket(NodeId src, NodeId dst, Bytes bytes,
         const Tick delta =
             send_tick > f.lastSend ? send_tick - f.lastSend : 0;
         f.gap.record(delta);
-        if (delta <= params_.burstGap) {
+        if (delta <= kBurstGap) {
             ++f.burstLen;
         } else {
             f.burst.record(f.burstLen);
@@ -82,7 +75,7 @@ WireObserver::onWirePacket(NodeId src, NodeId dst, Bytes bytes,
     f.busy += occupancy;
     f.size.record(bytes);
 
-    if (bytes <= params_.ctlMaxBytes) {
+    if (bytes <= kCtlMaxBytes) {
         if (f.ctlSeen) {
             const Tick delta =
                 send_tick > f.lastCtl ? send_tick - f.lastCtl : 0;
@@ -93,13 +86,13 @@ WireObserver::onWirePacket(NodeId src, NodeId dst, Bytes bytes,
         ++f.ctlPackets;
     }
 
-    LinkClass &cls = classes_[classOf(src, dst)];
+    LinkClass &cls = classes_[f.link];
     ++cls.packets;
     cls.bytes += bytes;
     cls.busy += occupancy;
     const std::size_t bin =
-        static_cast<std::size_t>(send_tick / params_.windowCycles);
-    if (bin >= params_.maxWindows) {
+        static_cast<std::size_t>(send_tick / kWindowCycles);
+    if (bin >= kMaxWindows) {
         ++cls.droppedWindows;
     } else {
         if (bin >= cls.windowBytes.size())
@@ -130,7 +123,7 @@ WireObserver::mergeClass(std::size_t cls, stats::Histogram &gap,
     for (NodeId s = 0; s < num_nodes_; ++s) {
         for (NodeId d = 0; d < num_nodes_; ++d) {
             const Flow &f = flow(s, d);
-            if (!f.packets || classOf(s, d) != cls)
+            if (!f.packets || f.link != cls)
                 continue;
             gap.merge(f.gap);
             size.merge(f.size);
@@ -169,7 +162,8 @@ windowShape(const std::vector<std::uint64_t> &bins)
         hi = i;
     }
     WindowShape ws;
-    if (lo > hi)
+    // No active window (lo == size, an empty class included).
+    if (lo == bins.size())
         return ws;
     const std::size_t n = hi - lo + 1;
     double sum = 0.0, sqsum = 0.0;
@@ -261,7 +255,7 @@ WireObserver::features() const
             if (!f.packets)
                 continue;
             ++dsts;
-            if (classOf(s, d) != 0)
+            if (f.link != 0)
                 nv_total += f.bytes;
         }
         if (dsts) {
@@ -273,7 +267,7 @@ WireObserver::features() const
         for (NodeId s = 0; s < num_nodes_; ++s) {
             for (NodeId d = 0; d < num_nodes_; ++d) {
                 const Flow &f = flow(s, d);
-                if (classOf(s, d) == 0 || !f.bytes)
+                if (f.link == 0 || !f.bytes)
                     continue;
                 const double p = static_cast<double>(f.bytes) /
                                  static_cast<double>(nv_total);
@@ -301,10 +295,10 @@ WireObserver::writeJson(std::ostream &os) const
     w.field("type", std::string("wire"));
     w.field("nodes", static_cast<std::uint64_t>(num_nodes_));
     w.field("windowCycles",
-            static_cast<std::uint64_t>(params_.windowCycles));
-    w.field("burstGap", static_cast<std::uint64_t>(params_.burstGap));
+            static_cast<std::uint64_t>(kWindowCycles));
+    w.field("burstGap", static_cast<std::uint64_t>(kBurstGap));
     w.field("ctlMaxBytes",
-            static_cast<std::uint64_t>(params_.ctlMaxBytes));
+            static_cast<std::uint64_t>(kCtlMaxBytes));
     w.field("packets", packets_);
     w.field("bytes", bytes_);
     const Tick duration =
@@ -321,7 +315,7 @@ WireObserver::writeJson(std::ostream &os) const
             w.beginObject();
             w.field("src", static_cast<std::uint64_t>(s));
             w.field("dst", static_cast<std::uint64_t>(d));
-            w.field("link", class_names_[classOf(s, d)]);
+            w.field("link", class_names_[f.link]);
             w.field("packets", f.packets);
             w.field("bytes", f.bytes);
             w.field("busy", f.busy);
@@ -367,7 +361,7 @@ WireObserver::writeJson(std::ostream &os) const
         w.key("util");
         w.beginObject();
         w.field("windowCycles",
-                static_cast<std::uint64_t>(params_.windowCycles));
+                static_cast<std::uint64_t>(kWindowCycles));
         w.field("droppedWindows", cls.droppedWindows);
         w.beginArray("bins");
         for (std::size_t i = 0; i < cls.windowBytes.size(); ++i) {

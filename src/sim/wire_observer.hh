@@ -13,15 +13,15 @@
  *
  * The observer folds the stream online into per-directed-flow state
  * (inter-packet-gap, wire-size, burst-length, and control-gap
- * histograms) plus per-link-class utilization windows (pcie /
- * nvlink by default; scale-out fabrics add switch / inter classes
- * via setLinkClasses()). Everything is a commutative multiset fold over packets
- * keyed by departure tick, so the serialized output is byte-identical
- * across --sim-threads worker counts (the window kernel's barrier
- * merge replays captured wire events in a deterministic total order;
- * see docs/OBSERVABILITY.md).
+ * histograms) plus per-link-class utilization windows (the fabric's
+ * own classes: pcie / nvlink on the paper's p2p fabric, plus switch
+ * / inter on the scale-out ones). Everything is a commutative
+ * multiset fold over packets keyed by departure tick, so the
+ * serialized output is byte-identical across --sim-threads worker
+ * counts (the window kernel's barrier merge replays captured wire
+ * events in a deterministic total order; see docs/OBSERVABILITY.md).
  *
- * "Control-sized" packets (wire size <= ctlMaxBytes) approximate the
+ * "Control-sized" packets (wire size <= kCtlMaxBytes) approximate the
  * adversary's batch-close signature: batch MAC trailers and
  * standalone ACKs are the only tiny packets on the wire, so the gap
  * distribution between consecutive control-sized packets of a flow
@@ -51,38 +51,26 @@ namespace mgsec
 class WireObserver
 {
   public:
-    struct Params
-    {
-        /** Width of one utilization window in cycles. */
-        Tick windowCycles = 1024;
-        /** Retained windows per link class; later bins are dropped
-         *  (and counted) so a long run bounds memory. */
-        std::size_t maxWindows = 16384;
-        /** A gap > burstGap cycles closes the current burst. */
-        Tick burstGap = 64;
-        /** Wire size <= this is counted as a control-sized packet. */
-        Bytes ctlMaxBytes = 32;
-    };
-
-    /** Nodes are 0 (CPU) .. num_nodes-1; flows are directed pairs. */
-    explicit WireObserver(std::uint32_t num_nodes)
-        : WireObserver(num_nodes, Params{})
-    {
-    }
-    WireObserver(std::uint32_t num_nodes, Params p);
+    /** Width of one utilization window in cycles. */
+    static constexpr Tick kWindowCycles = 1024;
+    /** Retained windows per link class; later bins are dropped (and
+     *  counted) so a long run bounds memory. */
+    static constexpr std::size_t kMaxWindows = 16384;
+    /** A gap > kBurstGap cycles closes the current burst. */
+    static constexpr Tick kBurstGap = 64;
+    /** Wire size <= this is counted as a control-sized packet. */
+    static constexpr Bytes kCtlMaxBytes = 32;
 
     /**
-     * Replace the default pcie/nvlink link-class split with the
-     * fabric's own classes: @p names labels class 0..n-1 (class 0
-     * must remain the CPU-side pcie class — the fan-out features
-     * exclude it) and @p classify maps a flow's endpoints to its
-     * class. Call before the first packet; on the default
-     * point-to-point fabric the default split already matches, so
-     * its artifacts are unchanged.
+     * Nodes are 0 (CPU) .. num_nodes-1; flows are directed pairs.
+     * @p class_names labels link classes 0..n-1 (class 0 must be the
+     * CPU-side pcie class — the fan-out features exclude it) and
+     * @p classify maps a flow's (src, dst) endpoints to its class;
+     * it is asked once per flow, here.
      */
-    void setLinkClasses(
-        std::vector<std::string> names,
-        std::function<std::size_t(NodeId, NodeId)> classify);
+    WireObserver(
+        std::uint32_t num_nodes, std::vector<std::string> class_names,
+        const std::function<std::size_t(NodeId, NodeId)> &classify);
 
     /**
      * One packet crossing the wire: src -> dst, @p bytes on the
@@ -117,6 +105,7 @@ class WireObserver
     {
         Flow();
 
+        std::size_t link = 0; ///< link class
         std::uint64_t packets = 0;
         std::uint64_t bytes = 0;
         std::uint64_t busy = 0; ///< sum of (arrive - send)
@@ -151,11 +140,6 @@ class WireObserver
 
     Flow &flow(NodeId src, NodeId dst);
     const Flow &flow(NodeId src, NodeId dst) const;
-    std::size_t
-    classOf(NodeId src, NodeId dst) const
-    {
-        return classify_(src, dst);
-    }
 
     /** Merge every flow of a link class into fresh histograms. */
     void mergeClass(std::size_t cls, stats::Histogram &gap,
@@ -164,10 +148,8 @@ class WireObserver
                     std::uint64_t &ctl_packets) const;
 
     std::uint32_t num_nodes_;
-    Params params_;
     std::vector<Flow> flows_; ///< num_nodes^2, index src*n+dst
     std::vector<std::string> class_names_;
-    std::function<std::size_t(NodeId, NodeId)> classify_;
     std::vector<LinkClass> classes_;
     std::uint64_t packets_ = 0;
     std::uint64_t bytes_ = 0;

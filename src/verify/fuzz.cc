@@ -1,12 +1,13 @@
 #include "verify/fuzz.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <set>
 
+#include "core/flags.hh"
 #include "sim/logging.hh"
 
 namespace mgsec::verify
@@ -15,58 +16,17 @@ namespace mgsec::verify
 namespace
 {
 
-std::string
-lowered(std::string s)
-{
-    std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-    });
-    return s;
-}
-
+/** Parse @p text as a number in [lo, hi] (default: all of T). */
+template <typename T>
 bool
-parseU64(const std::string &text, std::uint64_t &out)
+parseField(const std::string &text, T &out, unsigned long long lo = 0,
+           unsigned long long hi = std::numeric_limits<T>::max())
 {
-    if (text.empty() || text.find('-') != std::string::npos)
+    unsigned long long v = 0;
+    if (!parseNumber(text, lo, hi, v))
         return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    out = v;
+    out = static_cast<T>(v);
     return true;
-}
-
-bool
-parseSchemeName(const std::string &text, OtpScheme &out)
-{
-    static constexpr OtpScheme kSchemes[] = {
-        OtpScheme::Unsecure, OtpScheme::Private, OtpScheme::Shared,
-        OtpScheme::Cached, OtpScheme::Dynamic};
-    const std::string t = lowered(text);
-    for (OtpScheme s : kSchemes) {
-        if (t == lowered(otpSchemeName(s))) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseBugName(const std::string &text, SeededBug &out)
-{
-    static constexpr SeededBug kBugs[] = {
-        SeededBug::None, SeededBug::CounterSkip, SeededBug::StaleCipher};
-    const std::string t = lowered(text);
-    for (SeededBug b : kBugs) {
-        if (t == lowered(seededBugName(b))) {
-            out = b;
-            return true;
-        }
-    }
-    return false;
 }
 
 std::vector<std::string>
@@ -99,18 +59,12 @@ parseScript(const std::string &text, std::vector<AttackStep> &out)
         AttackStep step;
         if (!parseAttackClass(tok.substr(0, at), step.cls))
             return false;
-        std::string rest = tok.substr(at + 1);
+        const std::string rest = tok.substr(at + 1);
         const std::size_t slash = rest.find('/');
-        std::uint64_t nth = 0;
-        if (slash == std::string::npos) {
-            if (!parseU64(rest, nth))
-                return false;
-        } else {
-            if (!parseU64(rest.substr(0, slash), nth) ||
-                !parseU64(rest.substr(slash + 1), step.param))
-                return false;
-        }
-        step.nth = static_cast<std::uint32_t>(nth);
+        if (!parseField(rest.substr(0, slash), step.nth) ||
+            (slash != std::string::npos &&
+             !parseField(rest.substr(slash + 1), step.param)))
+            return false;
         out.push_back(step);
     }
     return true;
@@ -318,54 +272,38 @@ decodeRepro(const std::string &text, TestbedConfig &out)
             return false;
         const std::string key = parts[i].substr(0, eq);
         const std::string val = parts[i].substr(eq + 1);
-        std::uint64_t v = 0;
+        bool ok = false;
         if (key == "seed") {
-            if (!parseU64(val, v))
-                return false;
-            out.seed = v;
+            ok = parseField(val, out.seed);
         } else if (key == "nodes") {
-            if (!parseU64(val, v) || v < 2)
-                return false;
-            out.numNodes = static_cast<std::uint32_t>(v);
+            ok = parseField(val, out.numNodes, 2, kMaxTestbedNodes);
         } else if (key == "scheme") {
-            if (!parseSchemeName(val, out.scheme))
-                return false;
+            // The testbed exercises the secure channel: a secured
+            // scheme only.
+            ok = parseScheme(val, out.scheme) &&
+                 out.scheme != OtpScheme::Unsecure;
         } else if (key == "batch") {
-            if (!parseU64(val, v) || v > 1)
-                return false;
-            out.batching = v != 0;
+            ok = parseField(val, out.batching, 0, 1);
         } else if (key == "bsz") {
-            if (!parseU64(val, v) || v < 2)
-                return false;
-            out.batchSize = static_cast<std::uint32_t>(v);
+            ok = parseField(val, out.batchSize, kMinBatchSize,
+                            kMaxBatchSize);
         } else if (key == "msgs") {
-            if (!parseU64(val, v) || v == 0)
-                return false;
-            out.messages = static_cast<std::uint32_t>(v);
+            ok = parseField(val, out.messages, 1);
         } else if (key == "req") {
-            if (!parseU64(val, v) || v > 100)
-                return false;
-            out.requestPercent = static_cast<std::uint32_t>(v);
+            ok = parseField(val, out.requestPercent, 0, 100);
         } else if (key == "gap") {
-            if (!parseU64(val, v) || v == 0)
-                return false;
-            out.gap = static_cast<Cycles>(v);
+            ok = parseField(val, out.gap, 1);
         } else if (key == "bug") {
-            if (!parseBugName(val, out.bug))
-                return false;
+            ok = parseSeededBug(val, out.bug);
         } else if (key == "trigger") {
-            if (!parseU64(val, v))
-                return false;
-            out.bugTrigger = static_cast<std::uint32_t>(v);
+            ok = parseField(val, out.bugTrigger);
         } else if (key == "topo") {
-            if (!parseTopologyKind(val, out.topology.kind))
-                return false;
+            ok = parseTopologyKind(val, out.topology.kind);
         } else if (key == "script") {
-            if (!parseScript(val, out.script))
-                return false;
-        } else {
-            return false;
+            ok = parseScript(val, out.script);
         }
+        if (!ok)
+            return false;
     }
     return true;
 }

@@ -40,6 +40,9 @@
 namespace mgsec::verify
 {
 
+/** Most nodes a testbed case may have. */
+constexpr std::uint32_t kMaxTestbedNodes = 256;
+
 struct TestbedConfig
 {
     std::uint32_t numNodes = 3;

@@ -67,4 +67,17 @@ seededBugName(SeededBug b)
     return "?";
 }
 
+bool
+parseSeededBug(const std::string &text, SeededBug &out)
+{
+    for (SeededBug b : {SeededBug::None, SeededBug::CounterSkip,
+                        SeededBug::StaleCipher}) {
+        if (text == seededBugName(b)) {
+            out = b;
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace mgsec::verify

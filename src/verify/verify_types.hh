@@ -109,6 +109,8 @@ enum class SeededBug : std::uint8_t
 };
 
 const char *seededBugName(SeededBug b);
+/** Inverse of seededBugName(). */
+bool parseSeededBug(const std::string &text, SeededBug &out);
 
 /**
  * Deterministic xorshift64* generator. The standard distributions

@@ -57,7 +57,8 @@ TraceFileSource::parse(std::istream &is)
         magic != "mgsec-trace" || version != "v1") {
         fatal("not an mgsec-trace v1 stream");
     }
-    ops_.reserve(count);
+    // The header's count is untrusted input: it sizes nothing, and
+    // only the final check below believes it.
     RemoteOp op;
     std::uint64_t gap = 0;
     std::uint32_t dst = 0;

@@ -83,6 +83,32 @@ TEST(Repro, RejectsMalformedStrings)
     EXPECT_FALSE(decodeRepro("v1;req=101", out));
 }
 
+TEST(Repro, RejectsOutOfRangeFields)
+{
+    // Every field is checked against its type and the model's
+    // bounds: nothing wraps to 32 bits, and nothing the testbed
+    // would assert on gets through.
+    TestbedConfig out;
+    EXPECT_FALSE(decodeRepro("v1;nodes=4294967298", out));
+    EXPECT_FALSE(decodeRepro("v1;nodes=257", out));
+    EXPECT_FALSE(decodeRepro("v1;msgs=4294967296", out));
+    EXPECT_FALSE(decodeRepro("v1;bsz=4294967300", out));
+    EXPECT_FALSE(decodeRepro("v1;bsz=300", out));
+    EXPECT_FALSE(decodeRepro("v1;bsz=1", out));
+    EXPECT_FALSE(decodeRepro("v1;scheme=unsecure", out));
+    EXPECT_FALSE(decodeRepro("v1;trigger=4294967296", out));
+    EXPECT_FALSE(decodeRepro("v1;gap=0", out));
+    EXPECT_FALSE(decodeRepro("v1;seed=-1", out));
+    EXPECT_FALSE(decodeRepro("v1;script=Replay@4294967296/0", out));
+
+    ASSERT_TRUE(decodeRepro(
+        "v1;nodes=256;bsz=255;msgs=4294967295;scheme=dynamic", out));
+    EXPECT_EQ(out.numNodes, 256u);
+    EXPECT_EQ(out.batchSize, 255u);
+    EXPECT_EQ(out.messages, 4294967295u);
+    EXPECT_EQ(out.scheme, OtpScheme::Dynamic);
+}
+
 TEST(Generator, SameSeedSameCases)
 {
     Rng a(99);

@@ -154,6 +154,31 @@ TEST(Observability, MetricsCoverPadsAndEwma)
     EXPECT_NE(c.metrics.find("net.inFlight"), std::string::npos);
 }
 
+TEST(Observability, GoldenMmCountsArePinned)
+{
+    // tests/golden/mm_*.json gate this configuration's result and
+    // stats byte for byte; the three counts those files do not
+    // carry are pinned here, as exactly.
+    ExperimentConfig cfg = quick();
+    cfg.scale = 0.1;
+    const WorkloadProfile profile =
+        makeProfile("mm", cfg.scale, cfg.numGpus);
+    {
+        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+        ASSERT_TRUE(sys.run().completed);
+        EXPECT_EQ(sys.executedEvents(), 46190u);
+    }
+    MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+    std::ostringstream trace;
+    sys.enableTrace(trace);
+    sys.enableAttribution();
+    sys.enableMetrics(1000, 4096);
+    ASSERT_TRUE(sys.run().completed);
+    EXPECT_EQ(sys.traceSink()->events(), 92788u);
+    EXPECT_EQ(sys.metrics()->samples(), 46u);
+    EXPECT_EQ(sys.attribution()->folds(), 10939u);
+}
+
 TEST(Observability, ResetStatsMatchesFreshSystem)
 {
     const ExperimentConfig cfg = quick();

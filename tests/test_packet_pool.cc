@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/experiment.hh"
+#include "core/system.hh"
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
 
@@ -160,6 +163,33 @@ TEST_F(PacketPoolTest, SteadyStateRunAllocatesNoPackets)
     EXPECT_GT(PacketPool::stats().reusedPackets, 0u);
     EXPECT_EQ(PacketPool::stats().livePackets, 0u)
         << "every packet must return to the pool after the run";
+}
+
+TEST_F(PacketPoolTest, WarmRunAfterObservedRunAllocatesNoPackets)
+{
+    // The sinks' hooks hold no packets: once a run with trace,
+    // attribution and metrics on has warmed the pool, a plain run
+    // is served from it entirely.
+    ExperimentConfig cfg = smallConfig();
+    cfg.simThreads = 1;
+    const WorkloadProfile profile =
+        makeProfile("mm", cfg.scale, cfg.numGpus);
+    {
+        MultiGpuSystem sys(makeSystemConfig(cfg), profile);
+        std::ostringstream trace;
+        sys.enableTrace(trace);
+        sys.enableAttribution();
+        sys.enableMetrics(1000, 4096);
+        ASSERT_TRUE(sys.run().completed);
+        ASSERT_GT(sys.traceSink()->events(), 0u);
+    }
+    ASSERT_GT(PacketPool::cachedPackets(), 0u);
+
+    PacketPool::resetStats();
+    runWorkload("mm", cfg);
+    EXPECT_EQ(PacketPool::stats().freshPackets, 0u);
+    EXPECT_EQ(PacketPool::stats().freshPayloads, 0u);
+    EXPECT_GT(PacketPool::stats().reusedPackets, 0u);
 }
 
 TEST_F(PacketPoolTest, TrimFreesCacheButKeepsCounters)

@@ -105,6 +105,38 @@ TEST(WireObserver, SerialAndShardedAgreeOnFeatures)
     EXPECT_EQ(a.stats, b.stats);
 }
 
+TEST(WireObserver, SwitchFabricsTagFlowsWithTheirOwnClasses)
+{
+    // A crossbar fabric carries no nvlink traffic: the empty class
+    // must dump as zeros, and GPU pairs must land in its switch or
+    // trunk classes.
+    for (const TopologyKind kind :
+         {TopologyKind::NvSwitch, TopologyKind::Hier}) {
+        ExperimentConfig cfg = quick();
+        cfg.scale = 0.05;
+        cfg.numGpus = 8;
+        cfg.topology.kind = kind;
+        cfg.topology.gpusPerNode = 4;
+        const WireRun r = runWithObserver(cfg);
+        ASSERT_TRUE(r.result.completed);
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(jsonParse(r.wire, doc, err)) << err;
+        const JsonValue &feat = *doc.find("features");
+        EXPECT_EQ(feat.find("nvlink.packets")->asNumber(-1), 0.0);
+        EXPECT_EQ(feat.find("nvlink.utilCv")->asNumber(-1), 0.0);
+        EXPECT_GT(feat.find("switch.packets")->asNumber(), 0.0);
+        if (kind == TopologyKind::Hier) {
+            EXPECT_GT(feat.find("inter.packets")->asNumber(), 0.0);
+        }
+        for (const JsonValue &f : doc.find("flows")->items) {
+            const bool cpu = f.find("src")->asNumber() == 0 ||
+                             f.find("dst")->asNumber() == 0;
+            EXPECT_EQ(f.find("link")->string == "pcie", cpu);
+        }
+    }
+}
+
 TEST(WireObserver, ConstantRateImposesMetronomeAndChaff)
 {
     ExperimentConfig cfg = quick();

@@ -7,9 +7,11 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "workload/profile.hh"
 #include "workload/source.hh"
+#include "workload/trace_io.hh"
 
 using namespace mgsec;
 
@@ -64,6 +66,19 @@ TEST(Profiles, MoreGpusMeansDenserCommunication)
 TEST(ProfilesDeath, UnknownWorkloadIsFatal)
 {
     EXPECT_DEATH(makeProfile("nosuch"), "unknown workload");
+}
+
+TEST(TraceFileSourceDeath, HugeHeaderCountIsAnOrdinaryBadTrace)
+{
+    // The header's op count is untrusted: an absurd one allocates
+    // nothing and fails like any other truncated trace.
+    EXPECT_EXIT(
+        {
+            std::istringstream is("mgsec-trace v1 999999999999999999\n"
+                                  "1 2 0 64 0\n");
+            TraceFileSource src(is);
+        },
+        ::testing::ExitedWithCode(1), "truncated");
 }
 
 TEST(DestWeights, NormalizedAndSelfFree)

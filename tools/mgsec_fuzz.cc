@@ -106,13 +106,8 @@ main(int argc, char **argv)
         .add({"inject-bug", "BUG",
               "counterskip|stalecipher: the campaign must catch it",
               [&cc](const std::string &v) {
-                  if (v == "counterskip")
-                      cc.injectBug = SeededBug::CounterSkip;
-                  else if (v == "stalecipher")
-                      cc.injectBug = SeededBug::StaleCipher;
-                  else
-                      return false;
-                  return true;
+                  return parseSeededBug(v, cc.injectBug) &&
+                         cc.injectBug != SeededBug::None;
               }})
         .add(textFlag("artifact", "PATH",
                       "write the repro and findings here on failure",
@@ -122,7 +117,7 @@ main(int argc, char **argv)
         .add(numberFlag("nodes", "N",
                         "fix the node count of every case\n"
                         "(default: generator's choice, 2..4)",
-                        cc.numNodes, 2u, 256u))
+                        cc.numNodes, 2u, kMaxTestbedNodes))
         .add(switchFlag("verbose", "print a line per case", cc.verbose))
         .parseOrExit(argc, argv);
 
