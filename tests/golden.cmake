@@ -1,8 +1,10 @@
 # Run CMD with the space-separated ARGS inside the scratch directory
 # WORK, then compare each file named in the space-separated FILES
 # (written there by CMD) byte for byte with its committed copy in
-# GOLDEN. With -DEXPECT=differ the run must still succeed, but some
-# file must differ: that proves the comparison can trip.
+# GOLDEN. -DSTDOUT=NAME also captures CMD's stdout into WORK/NAME and
+# compares it as one more file. With -DEXPECT=differ the run must
+# still succeed, but some file must differ: that proves the comparison
+# can trip.
 #
 #   cmake -DCMD=prog "-DARGS=--json fig9.json" -DWORK=dir
 #         -DGOLDEN=tests/golden -DFILES=fig9.json -P golden.cmake
@@ -10,12 +12,18 @@
 # docs/PERF.md lists the command that regenerates each golden.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 separate_arguments(files UNIX_COMMAND "${FILES}")
+if(STDOUT)
+    list(APPEND files ${STDOUT})
+    set(out OUTPUT_FILE ${WORK}/${STDOUT})
+else()
+    set(out OUTPUT_QUIET)
+endif()
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 execute_process(COMMAND ${CMD} ${args}
                 WORKING_DIRECTORY ${WORK}
                 RESULT_VARIABLE rc
-                OUTPUT_QUIET
+                ${out}
                 ERROR_VARIABLE err)
 if(NOT rc STREQUAL "0")
     message(FATAL_ERROR "'${CMD} ${ARGS}' exited ${rc}\n${err}")
@@ -32,7 +40,7 @@ endforeach()
 if(EXPECT STREQUAL "differ")
     if(differing STREQUAL "")
         message(FATAL_ERROR "'${CMD} ${ARGS}' matched every golden "
-                            "(${FILES}); the comparison cannot trip")
+                            "(${files}); the comparison cannot trip")
     endif()
 elseif(NOT differing STREQUAL "")
     message(FATAL_ERROR "'${CMD} ${ARGS}' wrote ${differing} unlike "
