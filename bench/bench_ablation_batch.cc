@@ -20,31 +20,16 @@ main(int argc, char **argv)
     banner("Ablation — metadata batch size",
            "design-space extension of Sec. IV-C (paper uses n=16)");
 
-    const std::vector<std::uint32_t> sizes = {4, 8, 16, 32, 64};
+    std::vector<Column> columns;
+    for (std::uint32_t n : {4u, 8u, 16u, 32u, 64u})
+        columns.push_back({std::to_string(n),
+                           {.scheme = OtpScheme::Dynamic,
+                            .batching = true,
+                            .batchSize = n}});
     Sweep sweep(args);
-    std::vector<std::vector<std::size_t>> handles(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        for (const auto &wl : workloadNames()) {
-            ExperimentConfig cfg;
-            cfg.scheme = OtpScheme::Dynamic;
-            cfg.batching = true;
-            cfg.batchSize = sizes[i];
-            handles[i].push_back(sweep.addNormalized(wl, cfg));
-        }
-    }
+    const Matrix m(sweep, columns);
     sweep.run();
-
-    Table t({"batch n", "norm.time", "norm.traffic"});
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        std::vector<double> times, traffics;
-        for (std::size_t h : handles[i]) {
-            times.push_back(sweep.normalized(h).time);
-            traffics.push_back(sweep.normalized(h).traffic);
-        }
-        t.addRow({std::to_string(sizes[i]), fmtDouble(mean(times)),
-                  fmtDouble(mean(traffics))});
-    }
-    t.print(std::cout);
+    m.meanTable("batch n", true).print(std::cout);
 
     std::cout << "\nexpected: traffic falls with n, but large "
                  "batches delay verification/ACKs for little extra "

@@ -20,68 +20,31 @@ main(int argc, char **argv)
     banner("Ablation — Dynamic EWMA hyperparameters",
            "sensitivity of Table III's alpha=0.9, beta=0.5, T=1000");
 
+    auto ours = [](std::string label, DynamicPadTable::Params p) {
+        return Column{std::move(label), {.scheme = OtpScheme::Dynamic,
+                                         .batching = true,
+                                         .dynParams = p}};
+    };
+    std::vector<Column> alphas, betas, intervals;
+    for (double a : {0.3, 0.5, 0.7, 0.9, 1.0})
+        alphas.push_back(ours(fmtDouble(a, 1), {.alpha = a}));
+    for (double b : {0.1, 0.3, 0.5, 0.7, 0.9})
+        betas.push_back(ours(fmtDouble(b, 1), {.beta = b}));
+    for (Cycles t : {250, 500, 1000, 2000, 4000})
+        intervals.push_back(ours(std::to_string(t), {.interval = t}));
+
     // All parameter variants normalize against the same unsecure
     // baselines, so one sweep memoizes them across the whole study.
     Sweep sweep(args);
-    auto queue = [&](const DynamicPadTable::Params &params) {
-        std::vector<std::size_t> hs;
-        for (const auto &wl : workloadNames()) {
-            ExperimentConfig cfg;
-            cfg.scheme = OtpScheme::Dynamic;
-            cfg.batching = true;
-            cfg.dynParams = params;
-            hs.push_back(sweep.addNormalized(wl, cfg));
-        }
-        return hs;
-    };
-
-    const std::vector<double> alphas = {0.3, 0.5, 0.7, 0.9, 1.0};
-    const std::vector<double> betas = {0.1, 0.3, 0.5, 0.7, 0.9};
-    const std::vector<Cycles> intervals = {250, 500, 1000, 2000,
-                                           4000};
-    std::vector<std::vector<std::size_t>> ha, hb, hc;
-    for (double a : alphas) {
-        DynamicPadTable::Params p;
-        p.alpha = a;
-        ha.push_back(queue(p));
-    }
-    for (double b : betas) {
-        DynamicPadTable::Params p;
-        p.beta = b;
-        hb.push_back(queue(p));
-    }
-    for (Cycles t : intervals) {
-        DynamicPadTable::Params p;
-        p.interval = t;
-        hc.push_back(queue(p));
-    }
+    const Matrix ma(sweep, alphas);
+    const Matrix mb(sweep, betas);
+    const Matrix mt(sweep, intervals);
     sweep.run();
 
-    auto meanTime = [&](const std::vector<std::size_t> &hs) {
-        std::vector<double> times;
-        for (std::size_t h : hs)
-            times.push_back(sweep.normalized(h).time);
-        return mean(times);
-    };
-
-    Table ta({"alpha", "norm.time"});
-    for (std::size_t i = 0; i < alphas.size(); ++i)
-        ta.addRow({fmtDouble(alphas[i], 1),
-                   fmtDouble(meanTime(ha[i]))});
-    ta.print(std::cout);
+    ma.meanTable("alpha").print(std::cout);
     std::cout << "\n";
-
-    Table tb({"beta", "norm.time"});
-    for (std::size_t i = 0; i < betas.size(); ++i)
-        tb.addRow({fmtDouble(betas[i], 1),
-                   fmtDouble(meanTime(hb[i]))});
-    tb.print(std::cout);
+    mb.meanTable("beta").print(std::cout);
     std::cout << "\n";
-
-    Table tc({"T (cycles)", "norm.time"});
-    for (std::size_t i = 0; i < intervals.size(); ++i)
-        tc.addRow({std::to_string(intervals[i]),
-                   fmtDouble(meanTime(hc[i]))});
-    tc.print(std::cout);
+    mt.meanTable("T (cycles)").print(std::cout);
     return 0;
 }

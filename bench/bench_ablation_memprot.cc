@@ -21,31 +21,17 @@ main(int argc, char **argv)
     banner("Ablation — host memory protection",
            "cost isolation of the Sec. IV-A assumption");
 
+    // Dynamic + Batching with the host-DRAM tree forced off or on.
+    auto ours = [](int host_mem_protect) {
+        return ExperimentConfig{.scheme = OtpScheme::Dynamic,
+                                .batching = true,
+                                .hostMemProtect = host_mem_protect};
+    };
     Sweep sweep(args);
-    std::vector<std::pair<std::size_t, std::size_t>> handles;
-    for (const auto &wl : workloadNames()) {
-        ExperimentConfig cfg;
-        cfg.scheme = OtpScheme::Dynamic;
-        cfg.batching = true;
-        cfg.hostMemProtect = 0; // comm protection only
-        const std::size_t off = sweep.addNormalized(wl, cfg);
-        cfg.hostMemProtect = 1; // plus the host-DRAM tree
-        handles.emplace_back(off, sweep.addNormalized(wl, cfg));
-    }
+    const Matrix m(sweep, {{"comm only", ours(0)},
+                           {"comm + host memprot", ours(1)}});
     sweep.run();
-
-    Table t({"workload", "comm only", "comm + host memprot"});
-    std::vector<double> c1, c2;
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        const double without = sweep.normalized(handles[w].first).time;
-        const double with = sweep.normalized(handles[w].second).time;
-        t.addRow({names[w], fmtDouble(without), fmtDouble(with)});
-        c1.push_back(without);
-        c2.push_back(with);
-    }
-    t.addRow({"MEAN", fmtDouble(mean(c1)), fmtDouble(mean(c2))});
-    t.print(std::cout);
+    m.table().print(std::cout);
 
     std::cout << "\nexpected: the counter cache absorbs most host "
                  "accesses, so the tree costs little on top of the "

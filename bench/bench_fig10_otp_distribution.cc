@@ -21,36 +21,12 @@ main(int argc, char **argv)
     banner("Fig. 10 — OTP hit/partial/miss distribution",
            "Fig. 10 (Private / Shared / Cached, OTP 4x, 4 GPUs)");
 
-    const std::vector<OtpScheme> schemes = {
-        OtpScheme::Private, OtpScheme::Shared, OtpScheme::Cached};
-
     Sweep sweep(args);
-    std::vector<std::vector<std::size_t>> handles(schemes.size());
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-        for (const auto &wl : workloadNames()) {
-            ExperimentConfig cfg;
-            cfg.scheme = schemes[s];
-            handles[s].push_back(sweep.addNormalized(wl, cfg));
-        }
-    }
+    const Matrix m(sweep, {{"Private", {.scheme = OtpScheme::Private}},
+                           {"Shared", {.scheme = OtpScheme::Shared}},
+                           {"Cached", {.scheme = OtpScheme::Cached}}});
     sweep.run();
-
-    Table t({"scheme", "dir", "hit", "partial", "miss", "hidden"});
-    for (std::size_t s = 0; s < schemes.size(); ++s) {
-        const OtpScheme scheme = schemes[s];
-        OtpStats agg;
-        for (std::size_t h : handles[s])
-            agg += sweep.normalized(h).sample.otp;
-        for (Direction d : {Direction::Send, Direction::Recv}) {
-            const double h = agg.frac(d, OtpOutcome::Hit);
-            const double p = agg.frac(d, OtpOutcome::Partial);
-            const double m = agg.frac(d, OtpOutcome::Miss);
-            t.addRow({otpSchemeName(scheme), directionName(d),
-                      fmtPct(h), fmtPct(p), fmtPct(m),
-                      fmtPct(h + p)});
-        }
-    }
-    t.print(std::cout);
+    m.otpTable().print(std::cout);
 
     std::cout << "\npaper: Private hides 36.9% (send) / 72.7% (recv);"
                  " Shared cannot hide sends; Cached hides 75.9% /"

@@ -21,30 +21,12 @@ main(int argc, char **argv)
            "Fig. 11 (+SecureCommu, +Traffic; Private OTP 4x)");
 
     Sweep sweep(args);
-    std::vector<std::pair<std::size_t, std::size_t>> handles;
-    for (const auto &wl : workloadNames()) {
-        ExperimentConfig cfg;
-        cfg.scheme = OtpScheme::Private;
-        cfg.countMetadataBytes = false;
-        const std::size_t lat = sweep.addNormalized(wl, cfg);
-        cfg.countMetadataBytes = true;
-        handles.emplace_back(lat, sweep.addNormalized(wl, cfg));
-    }
+    const Matrix m(sweep, {{"+SecureCommu",
+                            {.scheme = OtpScheme::Private,
+                             .countMetadataBytes = false}},
+                           {"+Traffic", {.scheme = OtpScheme::Private}}});
     sweep.run();
-
-    Table t({"workload", "+SecureCommu", "+Traffic"});
-    std::vector<double> c1, c2;
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        const Norm &latency_only = sweep.normalized(handles[w].first);
-        const Norm &with_meta = sweep.normalized(handles[w].second);
-        t.addRow({names[w], fmtDouble(latency_only.time),
-                  fmtDouble(with_meta.time)});
-        c1.push_back(latency_only.time);
-        c2.push_back(with_meta.time);
-    }
-    t.addRow({"MEAN", fmtDouble(mean(c1)), fmtDouble(mean(c2))});
-    t.print(std::cout);
+    m.table().print(std::cout);
 
     std::cout << "\npaper: +SecureCommu averages 8.2% overhead; the "
                  "metadata bandwidth raises it by a further 11.3%\n";

@@ -20,32 +20,24 @@ main(int argc, char **argv)
            "Fig. 12 (normalized interconnect traffic, Private 4x)");
 
     Sweep sweep(args);
-    std::vector<std::size_t> handles;
-    for (const auto &wl : workloadNames()) {
-        ExperimentConfig cfg;
-        cfg.scheme = OtpScheme::Private;
-        handles.push_back(sweep.addNormalized(wl, cfg));
-    }
+    const Matrix m(sweep, {{"traffic", {.scheme = OtpScheme::Private}}});
     sweep.run();
 
     Table t({"workload", "traffic", "hdr%", "payload%", "meta%",
              "ack%"});
-    std::vector<double> ratios;
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        const auto &wl = names[w];
-        const Norm &n = sweep.normalized(handles[w]);
+    for (std::size_t w = 0; w < m.workloads().size(); ++w) {
+        const NormResult &n = m.cell(w, 0);
         const auto &cb = n.sample.classBytes;
         const double total = static_cast<double>(
             cb[0] + cb[1] + cb[2] + cb[3]);
-        t.addRow({wl, fmtDouble(n.traffic),
-                  fmtPct(static_cast<double>(cb[0]) / total),
-                  fmtPct(static_cast<double>(cb[1]) / total),
-                  fmtPct(static_cast<double>(cb[2]) / total),
-                  fmtPct(static_cast<double>(cb[3]) / total)});
-        ratios.push_back(n.traffic);
+        std::vector<std::string> row = {m.workloads()[w],
+                                        fmtDouble(n.traffic)};
+        for (Bytes b : cb)
+            row.push_back(fmtPct(static_cast<double>(b) / total));
+        t.addRow(std::move(row));
     }
-    t.addRow({"MEAN", fmtDouble(mean(ratios)), "", "", "", ""});
+    t.addRow({"MEAN", fmtDouble(m.mean(0, &NormResult::traffic)), "",
+              "", "", ""});
     t.print(std::cout);
 
     std::cout << "\npaper: security metadata adds 36.5% interconnect "

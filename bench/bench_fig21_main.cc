@@ -21,59 +21,21 @@ main(int argc, char **argv)
            "Fig. 21 (Private 4x/16x, Cached 4x, +Dynamic, "
            "+Batching)");
 
-    struct Config
-    {
-        const char *label;
-        OtpScheme scheme;
-        std::uint32_t mult;
-        bool batching;
-    };
-    const std::vector<Config> configs = {
-        {"Private(4x)", OtpScheme::Private, 4, false},
-        {"Private(16x)", OtpScheme::Private, 16, false},
-        {"Cached(4x)", OtpScheme::Cached, 4, false},
-        {"Dynamic(4x)", OtpScheme::Dynamic, 4, false},
-        {"Batching(4x)", OtpScheme::Dynamic, 4, true},
-    };
-
-    Table t({"workload", "Private(4x)", "Private(16x)", "Cached(4x)",
-             "Dynamic(4x)", "Batching(4x)"});
-    std::vector<std::vector<double>> cols(configs.size());
-
     Sweep sweep(args);
-    std::vector<std::vector<std::size_t>> handles;
-    for (const auto &wl : workloadNames()) {
-        std::vector<std::size_t> hs;
-        for (const auto &c : configs) {
-            ExperimentConfig cfg;
-            cfg.scheme = c.scheme;
-            cfg.otpMult = c.mult;
-            cfg.batching = c.batching;
-            hs.push_back(sweep.addNormalized(wl, cfg));
-        }
-        handles.push_back(std::move(hs));
-    }
+    const Matrix m(
+        sweep,
+        {{"Private(4x)", {.scheme = OtpScheme::Private}},
+         {"Private(16x)", {.scheme = OtpScheme::Private, .otpMult = 16}},
+         {"Cached(4x)", {.scheme = OtpScheme::Cached}},
+         {"Dynamic(4x)", {.scheme = OtpScheme::Dynamic}},
+         {"Batching(4x)",
+          {.scheme = OtpScheme::Dynamic, .batching = true}}});
     sweep.run();
+    m.table().print(std::cout);
 
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        std::vector<std::string> row = {names[w]};
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const Norm &n = sweep.normalized(handles[w][c]);
-            row.push_back(fmtDouble(n.time));
-            cols[c].push_back(n.time);
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> avg = {"MEAN"};
-    for (const auto &c : cols)
-        avg.push_back(fmtDouble(mean(c)));
-    t.addRow(avg);
-    t.print(std::cout);
-
-    const double priv = mean(cols[0]);
-    const double cached = mean(cols[2]);
-    const double ours = mean(cols[4]);
+    const double priv = m.mean(0);
+    const double cached = m.mean(2);
+    const double ours = m.mean(4);
     std::cout << "\nOurs (Dynamic+Batching) vs Private(4x): "
               << fmtPct(1.0 - ours / priv) << " faster\n"
               << "Ours vs Cached(4x): "

@@ -18,45 +18,10 @@ main(int argc, char **argv)
     banner("Fig. 22 — OTP distribution incl. the proposed scheme",
            "Fig. 22 (Private / Cached / Ours, OTP 4x)");
 
-    struct Config
-    {
-        const char *label;
-        OtpScheme scheme;
-        bool batching;
-    };
-    const std::vector<Config> configs = {
-        {"Private", OtpScheme::Private, false},
-        {"Cached", OtpScheme::Cached, false},
-        {"Ours", OtpScheme::Dynamic, true},
-    };
-
     Sweep sweep(args);
-    std::vector<std::vector<std::size_t>> handles(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        for (const auto &wl : workloadNames()) {
-            ExperimentConfig cfg;
-            cfg.scheme = configs[c].scheme;
-            cfg.batching = configs[c].batching;
-            handles[c].push_back(sweep.addNormalized(wl, cfg));
-        }
-    }
+    const Matrix m(sweep, privateCachedOurs());
     sweep.run();
-
-    Table t({"scheme", "dir", "hit", "partial", "miss", "hidden"});
-    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-        const auto &c = configs[ci];
-        OtpStats agg;
-        for (std::size_t h : handles[ci])
-            agg += sweep.normalized(h).sample.otp;
-        for (Direction d : {Direction::Send, Direction::Recv}) {
-            const double h = agg.frac(d, OtpOutcome::Hit);
-            const double p = agg.frac(d, OtpOutcome::Partial);
-            t.addRow({c.label, directionName(d), fmtPct(h),
-                      fmtPct(p), fmtPct(agg.frac(d, OtpOutcome::Miss)),
-                      fmtPct(h + p)});
-        }
-    }
-    t.print(std::cout);
+    m.otpTable().print(std::cout);
 
     std::cout << "\npaper: Ours hides 64.6% of encryption and 76.2% "
                  "of decryption latency, beating Private's 36.8% "

@@ -19,45 +19,15 @@ main(int argc, char **argv)
            "Fig. 23 (Private / Cached / Ours, OTP 4x)");
 
     Sweep sweep(args);
-    struct Handles
-    {
-        std::size_t priv, cached, ours;
-    };
-    std::vector<Handles> handles;
-    for (const auto &wl : workloadNames()) {
-        ExperimentConfig cfg;
-        cfg.scheme = OtpScheme::Private;
-        const std::size_t hp = sweep.addNormalized(wl, cfg);
-        cfg.scheme = OtpScheme::Cached;
-        const std::size_t hc = sweep.addNormalized(wl, cfg);
-        cfg.scheme = OtpScheme::Dynamic;
-        cfg.batching = true;
-        handles.push_back(
-            Handles{hp, hc, sweep.addNormalized(wl, cfg)});
-    }
+    const Matrix m(sweep, privateCachedOurs());
     sweep.run();
-
-    Table t({"workload", "Private", "Cached", "Ours"});
-    std::vector<double> cp, cc, co;
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        const Norm &np = sweep.normalized(handles[w].priv);
-        const Norm &nc = sweep.normalized(handles[w].cached);
-        const Norm &no = sweep.normalized(handles[w].ours);
-        t.addRow({names[w], fmtDouble(np.traffic),
-                  fmtDouble(nc.traffic), fmtDouble(no.traffic)});
-        cp.push_back(np.traffic);
-        cc.push_back(nc.traffic);
-        co.push_back(no.traffic);
-    }
-    t.addRow({"MEAN", fmtDouble(mean(cp)), fmtDouble(mean(cc)),
-              fmtDouble(mean(co))});
-    t.print(std::cout);
+    const Matrix::Metric traffic = &NormResult::traffic;
+    m.table(traffic).print(std::cout);
 
     std::cout << "\nOurs cuts traffic by "
-              << fmtPct(1.0 - mean(co) / mean(cp))
+              << fmtPct(1.0 - m.mean(2, traffic) / m.mean(0, traffic))
               << " vs Private (paper: 20.2%) and "
-              << fmtPct(1.0 - mean(co) / mean(cc))
+              << fmtPct(1.0 - m.mean(2, traffic) / m.mean(1, traffic))
               << " vs Cached (paper: 20.0%)\n";
     return 0;
 }

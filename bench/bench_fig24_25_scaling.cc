@@ -21,53 +21,22 @@ main(int argc, char **argv)
            "Fig. 24 (8 GPUs), Fig. 25 (16 GPUs)");
 
     // Queue both system sizes in one sweep so the pool overlaps them.
-    const std::vector<std::uint32_t> gpu_counts = {8, 16};
-    struct Handles
-    {
-        std::size_t priv, cached, ours;
-    };
     Sweep sweep(args);
-    std::vector<std::vector<Handles>> handles(gpu_counts.size());
-    for (std::size_t g = 0; g < gpu_counts.size(); ++g) {
-        for (const auto &wl : workloadNames()) {
-            ExperimentConfig cfg;
-            cfg.numGpus = gpu_counts[g];
-            cfg.scheme = OtpScheme::Private;
-            const std::size_t hp = sweep.addNormalized(wl, cfg);
-            cfg.scheme = OtpScheme::Cached;
-            const std::size_t hc = sweep.addNormalized(wl, cfg);
-            cfg.scheme = OtpScheme::Dynamic;
-            cfg.batching = true;
-            handles[g].push_back(
-                Handles{hp, hc, sweep.addNormalized(wl, cfg)});
-        }
-    }
+    std::vector<Matrix> matrices;
+    for (std::uint32_t gpus : {8u, 16u})
+        matrices.emplace_back(sweep,
+                              privateCachedOurs({.numGpus = gpus}));
     sweep.run();
 
-    const auto &names = workloadNames();
-    for (std::size_t g = 0; g < gpu_counts.size(); ++g) {
-        const std::uint32_t gpus = gpu_counts[g];
+    for (const Matrix &m : matrices) {
+        const std::uint32_t gpus = m.columns()[0].cfg.numGpus;
         std::cout << "--- " << gpus << "-GPU system (OTP 4x => "
                   << gpus * 2 * 4 << " buffers per GPU)\n";
-        Table t({"workload", "Private", "Cached", "Ours"});
-        std::vector<double> cp, cc, co;
-        for (std::size_t w = 0; w < names.size(); ++w) {
-            const Norm &np = sweep.normalized(handles[g][w].priv);
-            const Norm &nc = sweep.normalized(handles[g][w].cached);
-            const Norm &no = sweep.normalized(handles[g][w].ours);
-            t.addRow({names[w], fmtDouble(np.time),
-                      fmtDouble(nc.time), fmtDouble(no.time)});
-            cp.push_back(np.time);
-            cc.push_back(nc.time);
-            co.push_back(no.time);
-        }
-        t.addRow({"MEAN", fmtDouble(mean(cp)), fmtDouble(mean(cc)),
-                  fmtDouble(mean(co))});
-        t.print(std::cout);
+        m.table().print(std::cout);
         std::cout << "Ours vs Private: "
-                  << fmtPct(1.0 - mean(co) / mean(cp))
+                  << fmtPct(1.0 - m.mean(2) / m.mean(0))
                   << ", Ours vs Cached: "
-                  << fmtPct(1.0 - mean(co) / mean(cc)) << "\n\n";
+                  << fmtPct(1.0 - m.mean(2) / m.mean(1)) << "\n\n";
     }
 
     std::cout << "paper: Private degrades 29.3% (8 GPUs) and 32.1% "

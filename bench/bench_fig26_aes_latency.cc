@@ -20,43 +20,20 @@ main(int argc, char **argv)
     banner("Fig. 26 — AES-GCM latency sensitivity",
            "Fig. 26 (10/20/30/40-cycle AES-GCM)");
 
-    const std::vector<Cycles> latencies = {10, 20, 30, 40};
-    struct Handles
-    {
-        std::size_t priv, cached, ours;
-    };
     // The AES latency only matters to secured runs, so all four
     // latency points share the same memoized unsecure baselines.
     Sweep sweep(args);
-    std::vector<std::vector<Handles>> handles(latencies.size());
-    for (std::size_t l = 0; l < latencies.size(); ++l) {
-        for (const auto &wl : workloadNames()) {
-            ExperimentConfig cfg;
-            cfg.aesLatency = latencies[l];
-            cfg.scheme = OtpScheme::Private;
-            const std::size_t hp = sweep.addNormalized(wl, cfg);
-            cfg.scheme = OtpScheme::Cached;
-            const std::size_t hc = sweep.addNormalized(wl, cfg);
-            cfg.scheme = OtpScheme::Dynamic;
-            cfg.batching = true;
-            handles[l].push_back(
-                Handles{hp, hc, sweep.addNormalized(wl, cfg)});
-        }
-    }
+    std::vector<Matrix> matrices;
+    for (Cycles lat : {10, 20, 30, 40})
+        matrices.emplace_back(sweep,
+                              privateCachedOurs({.aesLatency = lat}));
     sweep.run();
 
     Table t({"latency", "Private", "Cached", "Ours"});
-    for (std::size_t l = 0; l < latencies.size(); ++l) {
-        std::vector<double> cp, cc, co;
-        for (const Handles &h : handles[l]) {
-            cp.push_back(sweep.normalized(h.priv).time);
-            cc.push_back(sweep.normalized(h.cached).time);
-            co.push_back(sweep.normalized(h.ours).time);
-        }
-        t.addRow({std::to_string(latencies[l]) + " cyc",
-                  fmtDouble(mean(cp)), fmtDouble(mean(cc)),
-                  fmtDouble(mean(co))});
-    }
+    for (const Matrix &m : matrices)
+        t.addRow({std::to_string(m.columns()[0].cfg.aesLatency) + " cyc",
+                  fmtDouble(m.mean(0)), fmtDouble(m.mean(1)),
+                  fmtDouble(m.mean(2))});
     t.print(std::cout);
 
     std::cout << "\npaper: 40 -> 10 cycles moves Private only from "

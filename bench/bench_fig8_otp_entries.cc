@@ -19,40 +19,15 @@ main(int argc, char **argv)
     banner("Fig. 8 — Private sensitivity to OTP buffer entries",
            "Fig. 8 (OTP 1x..16x, 4 GPUs)");
 
-    const std::vector<std::uint32_t> mults = {1, 2, 4, 8, 16};
-    Table t({"workload", "1x", "2x", "4x", "8x", "16x"});
-    std::vector<std::vector<double>> cols(mults.size());
-
-    // Queue the whole matrix, run it once on the job pool.
+    std::vector<Column> columns;
+    for (std::uint32_t mult : {1u, 2u, 4u, 8u, 16u})
+        columns.push_back({std::to_string(mult) + "x",
+                           {.scheme = OtpScheme::Private,
+                            .otpMult = mult}});
     Sweep sweep(args);
-    std::vector<std::vector<std::size_t>> handles;
-    for (const auto &wl : workloadNames()) {
-        std::vector<std::size_t> hs;
-        for (std::uint32_t mult : mults) {
-            ExperimentConfig cfg;
-            cfg.scheme = OtpScheme::Private;
-            cfg.otpMult = mult;
-            hs.push_back(sweep.addNormalized(wl, cfg));
-        }
-        handles.push_back(std::move(hs));
-    }
+    const Matrix m(sweep, columns);
     sweep.run();
-
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        std::vector<std::string> row = {names[w]};
-        for (std::size_t m = 0; m < mults.size(); ++m) {
-            const Norm &n = sweep.normalized(handles[w][m]);
-            row.push_back(fmtDouble(n.time));
-            cols[m].push_back(n.time);
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> avg = {"MEAN"};
-    for (const auto &c : cols)
-        avg.push_back(fmtDouble(mean(c)));
-    t.addRow(avg);
-    t.print(std::cout);
+    m.table().print(std::cout);
 
     std::cout << "\npaper: OTP 1x degrades 121.1% on average; 16x "
                  "degrades 14.0%\n";

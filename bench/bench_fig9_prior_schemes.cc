@@ -24,39 +24,12 @@ main(int argc, char **argv)
     banner("Fig. 9 — prior OTP buffer management schemes",
            "Fig. 9 (Private / Shared / Cached, OTP 4x, 4 GPUs)");
 
-    const std::vector<OtpScheme> schemes = {
-        OtpScheme::Private, OtpScheme::Shared, OtpScheme::Cached};
-    Table t({"workload", "Private", "Shared", "Cached"});
-    std::vector<std::vector<double>> cols(schemes.size());
-
     Sweep sweep(args);
-    std::vector<std::vector<std::size_t>> handles;
-    for (const auto &wl : workloadNames()) {
-        std::vector<std::size_t> hs;
-        for (OtpScheme scheme : schemes) {
-            ExperimentConfig cfg;
-            cfg.scheme = scheme;
-            hs.push_back(sweep.addNormalized(wl, cfg));
-        }
-        handles.push_back(std::move(hs));
-    }
+    const Matrix m(sweep, {{"Private", {.scheme = OtpScheme::Private}},
+                           {"Shared", {.scheme = OtpScheme::Shared}},
+                           {"Cached", {.scheme = OtpScheme::Cached}}});
     sweep.run();
-
-    const auto &names = workloadNames();
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        std::vector<std::string> row = {names[w]};
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            const Norm &n = sweep.normalized(handles[w][s]);
-            row.push_back(fmtDouble(n.time));
-            cols[s].push_back(n.time);
-        }
-        t.addRow(row);
-    }
-    std::vector<std::string> avg = {"MEAN"};
-    for (const auto &c : cols)
-        avg.push_back(fmtDouble(mean(c)));
-    t.addRow(avg);
-    t.print(std::cout);
+    m.table().print(std::cout);
 
     std::cout << "\npaper: average degradations 19.5% (Private), "
                  "166.3% (Shared), 16.3% (Cached)\n";
@@ -73,24 +46,17 @@ main(int argc, char **argv)
         w.field("scale", args.scale);
         w.field("seeds", static_cast<std::uint64_t>(args.seeds));
         w.beginArray("rows");
-        const std::vector<std::string> labels = {"Private", "Shared",
-                                                 "Cached"};
-        for (std::size_t wl = 0; wl < names.size(); ++wl) {
+        for (std::size_t wl = 0; wl < m.workloads().size(); ++wl) {
             w.beginObject();
-            w.field("workload", names[wl]);
-            for (std::size_t s = 0; s < schemes.size(); ++s) {
-                w.key(labels[s]);
-                w.value(sweep.normalized(handles[wl][s]).time);
-            }
+            w.field("workload", m.workloads()[wl]);
+            for (std::size_t c = 0; c < m.columns().size(); ++c)
+                w.field(m.columns()[c].label, m.cell(wl, c).time);
             w.endObject();
         }
         w.endArray();
-        w.key("mean");
-        w.beginObject();
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            w.key(labels[s]);
-            w.value(mean(cols[s]));
-        }
+        w.key("mean").beginObject();
+        for (std::size_t c = 0; c < m.columns().size(); ++c)
+            w.field(m.columns()[c].label, m.mean(c));
         w.endObject();
         w.endObject();
         os << "\n";

@@ -62,9 +62,9 @@ main(int argc, char **argv)
         Table t({"workload", "Private", "Cached", "Ours"});
         std::vector<double> cp, cc, co;
         for (std::size_t w = 0; w < names.size(); ++w) {
-            const Norm &np = sweep.normalized(handles[g][w].priv);
-            const Norm &nc = sweep.normalized(handles[g][w].cached);
-            const Norm &no = sweep.normalized(handles[g][w].ours);
+            const NormResult &np = sweep.normalized(handles[g][w].priv);
+            const NormResult &nc = sweep.normalized(handles[g][w].cached);
+            const NormResult &no = sweep.normalized(handles[g][w].ours);
             t.addRow({names[w], fmtDouble(np.time),
                       fmtDouble(nc.time), fmtDouble(no.time)});
             cp.push_back(np.time);

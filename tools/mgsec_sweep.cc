@@ -18,43 +18,53 @@
 
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
+#include "bench/common.hh"
 #include "core/json_out.hh"
-#include "core/report.hh"
-#include "core/sweep.hh"
 
 using namespace mgsec;
+using mgsec::bench::Column;
+using mgsec::bench::Matrix;
 
 namespace
 {
 
-struct Config
+/** The six configurations, each on @p base (fabric and shape). */
+std::vector<Column>
+schemeColumns(const ExperimentConfig &base)
 {
-    const char *label;
-    OtpScheme scheme;
-    bool batching;
-    std::uint32_t mult;
-};
+    struct Config
+    {
+        const char *label;
+        OtpScheme scheme;
+        bool batching;
+        std::uint32_t mult;
+    };
+    const Config configs[] = {
+        {"Priv4x", OtpScheme::Private, false, 4},
+        {"Priv16x", OtpScheme::Private, false, 16},
+        {"Shared", OtpScheme::Shared, false, 4},
+        {"Cached4x", OtpScheme::Cached, false, 4},
+        {"Dyn4x", OtpScheme::Dynamic, false, 4},
+        {"Ours4x", OtpScheme::Dynamic, true, 4},
+    };
+    std::vector<Column> columns;
+    for (const Config &c : configs) {
+        ExperimentConfig e = base;
+        e.scheme = c.scheme;
+        e.batching = c.batching;
+        e.otpMult = c.mult;
+        columns.push_back({c.label, e});
+    }
+    return columns;
+}
 
-const std::vector<Config> kConfigs = {
-    {"Priv4x", OtpScheme::Private, false, 4},
-    {"Priv16x", OtpScheme::Private, false, 16},
-    {"Shared", OtpScheme::Shared, false, 4},
-    {"Cached4x", OtpScheme::Cached, false, 4},
-    {"Dyn4x", OtpScheme::Dynamic, false, 4},
-    {"Ours4x", OtpScheme::Dynamic, true, 4},
-};
-
-/** handles[shape][workload][config]; shaped = --shape was given. */
+/** One matrix per shape; shaped = --shape was given. */
 void
 writeJson(std::ostream &os, const SweepArgs &args, const Sweep &sweep,
-          const std::vector<std::string> &names, bool shaped,
-          const std::vector<std::vector<std::vector<std::size_t>>>
-              &handles)
+          bool shaped, const std::vector<Matrix> &matrices)
 {
     JsonWriter w(os);
     w.beginObject();
@@ -69,20 +79,18 @@ writeJson(std::ostream &os, const SweepArgs &args, const Sweep &sweep,
     w.field("baselineHits", sweep.baselineHits());
     w.beginArray("rows");
     for (std::size_t sh = 0; sh < args.shapes.size(); ++sh) {
-        for (std::size_t wl = 0; wl < names.size(); ++wl) {
+        const Matrix &m = matrices[sh];
+        for (std::size_t wl = 0; wl < m.workloads().size(); ++wl) {
             w.beginObject();
-            w.field("workload", names[wl]);
+            w.field("workload", m.workloads()[wl]);
             if (shaped)
                 w.field("shape",
                         std::string(
                             shapingPolicyName(args.shapes[sh])));
-            for (std::size_t c = 0; c < kConfigs.size(); ++c) {
-                const NormResult &n =
-                    sweep.normalized(handles[sh][wl][c]);
-                w.key(std::string("time") + kConfigs[c].label);
-                w.value(n.time);
-                w.key(std::string("traffic") + kConfigs[c].label);
-                w.value(n.traffic);
+            for (std::size_t c = 0; c < m.columns().size(); ++c) {
+                const NormResult &n = m.cell(wl, c);
+                w.field("time" + m.columns()[c].label, n.time);
+                w.field("traffic" + m.columns()[c].label, n.traffic);
             }
             w.endObject();
         }
@@ -119,62 +127,39 @@ main(int argc, char **argv)
     std::cout << "\n\n";
 
     Sweep sweep(args);
-    std::vector<std::vector<std::vector<std::size_t>>> handles;
-    for (const ShapingPolicy shape : args.shapes) {
-        std::vector<std::vector<std::size_t>> per_wl;
-        for (const auto &wl : names) {
-            std::vector<std::size_t> hs;
-            for (const auto &c : kConfigs) {
-                ExperimentConfig e;
-                e.numGpus = args.gpus;
-                e.scheme = c.scheme;
-                e.batching = c.batching;
-                e.otpMult = c.mult;
-                e.shaping = shape;
-                e.topology = args.topology;
-                hs.push_back(sweep.addNormalized(wl, e));
-            }
-            per_wl.push_back(std::move(hs));
-        }
-        handles.push_back(std::move(per_wl));
-    }
+    std::vector<Matrix> matrices;
+    for (const ShapingPolicy shape : args.shapes)
+        matrices.emplace_back(sweep,
+                              schemeColumns({.numGpus = args.gpus,
+                                             .topology = args.topology,
+                                             .shaping = shape}),
+                              names);
     sweep.run();
 
+    // Columns 0 and 5 (Priv4x, Ours4x) also report their traffic.
+    const Matrix::Metric traffic = &NormResult::traffic;
     for (std::size_t sh = 0; sh < args.shapes.size(); ++sh) {
         if (shaped)
             std::cout << "shape: "
                       << shapingPolicyName(args.shapes[sh]) << "\n";
-        Table t({"workload", "Priv4x", "Priv16x", "Shared",
-                 "Cached4x", "Dyn4x", "Ours4x", "trafP4x",
-                 "trafOurs"});
-        std::map<std::string, std::vector<double>> agg;
-        std::vector<double> traf_p, traf_o;
-
-        for (std::size_t wl = 0; wl < names.size(); ++wl) {
-            std::vector<std::string> row = {names[wl]};
-            double tp = 0, to = 0;
-            for (std::size_t c = 0; c < kConfigs.size(); ++c) {
-                const NormResult &n =
-                    sweep.normalized(handles[sh][wl][c]);
-                row.push_back(fmtDouble(n.time));
-                agg[kConfigs[c].label].push_back(n.time);
-                if (std::string("Priv4x") == kConfigs[c].label)
-                    tp = n.traffic;
-                if (std::string("Ours4x") == kConfigs[c].label)
-                    to = n.traffic;
-            }
-            row.push_back(fmtDouble(tp));
-            row.push_back(fmtDouble(to));
-            traf_p.push_back(tp);
-            traf_o.push_back(to);
+        const Matrix &m = matrices[sh];
+        std::vector<std::string> header = {"workload"};
+        for (const Column &c : m.columns())
+            header.push_back(c.label);
+        header.push_back("trafP4x");
+        header.push_back("trafOurs");
+        Table t(header);
+        for (std::size_t wl = 0; wl <= names.size(); ++wl) {
+            const bool last = wl == names.size();
+            std::vector<std::string> row = {last ? "MEAN" : names[wl]};
+            for (std::size_t c = 0; c < m.columns().size(); ++c)
+                row.push_back(
+                    fmtDouble(last ? m.mean(c) : m.cell(wl, c).time));
+            for (std::size_t c : {0, 5})
+                row.push_back(fmtDouble(last ? m.mean(c, traffic)
+                                             : m.cell(wl, c).traffic));
             t.addRow(row);
         }
-        std::vector<std::string> avg = {"MEAN"};
-        for (const auto &c : kConfigs)
-            avg.push_back(fmtDouble(mean(agg[c.label])));
-        avg.push_back(fmtDouble(mean(traf_p)));
-        avg.push_back(fmtDouble(mean(traf_o)));
-        t.addRow(avg);
         t.print(std::cout);
         if (shaped && sh + 1 < args.shapes.size())
             std::cout << "\n";
@@ -192,14 +177,14 @@ main(int argc, char **argv)
 
     if (!args.jsonOut.empty()) {
         if (args.jsonOut == "-") {
-            writeJson(std::cout, args, sweep, names, shaped, handles);
+            writeJson(std::cout, args, sweep, shaped, matrices);
         } else {
             std::ofstream os(args.jsonOut);
             if (!os) {
                 std::cerr << "cannot write " << args.jsonOut << "\n";
                 return 1;
             }
-            writeJson(os, args, sweep, names, shaped, handles);
+            writeJson(os, args, sweep, shaped, matrices);
         }
     }
     return 0;
