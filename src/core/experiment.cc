@@ -27,7 +27,6 @@ makeSystemConfig(const ExperimentConfig &cfg)
     sys.security.countMetadataBytes = cfg.countMetadataBytes;
     sys.security.dynParams = cfg.dynParams;
     sys.security.debugPadStallPct = cfg.debugPadStallPct;
-    sys.security.cryptoImpl = cfg.cryptoImpl;
     sys.security.shaping = cfg.shaping;
     sys.security.shapeInterval = cfg.shapeInterval;
     sys.security.shapePadTo = cfg.shapePadTo;

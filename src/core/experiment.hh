@@ -72,18 +72,10 @@ struct ExperimentConfig
     std::uint32_t debugPadStallPct = 0;
 
     /**
-     * Crypto tier for the functional plane (auto/portable/simd).
-     * Host-side speed knob with bit-identical outputs, so it is NOT
-     * part of configKey — results must not depend on it.
-     */
-    crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
-
-    /**
      * Worker threads of the window event kernel
      * (SystemConfig::simThreads): 0 = auto (MGSEC_SIM_THREADS env,
-     * else 1). A host-side speed knob like cryptoImpl — every thread
-     * count produces byte-identical results — so it is NOT part of
-     * configKey.
+     * else 1). A host-side speed knob — every thread count produces
+     * byte-identical results — so it is NOT part of configKey.
      */
     std::uint32_t simThreads = 0;
 

@@ -133,18 +133,6 @@ topologyFlag(TopologyKind &out)
 }
 
 Flag
-cryptoImplFlag(crypto::CryptoImpl &out)
-{
-    return {"crypto-impl", "I",
-            std::string("host crypto tier: auto|portable|simd\n"
-                        "(bit-identical results; default ") +
-                crypto::cryptoImplName(out) + ")",
-            [&out](const std::string &v) {
-                return crypto::parseCryptoImpl(v, out);
-            }};
-}
-
-Flag
 simThreadsFlag(std::uint32_t &out)
 {
     return numberFlag(

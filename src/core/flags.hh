@@ -17,7 +17,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "crypto/dispatch.hh"
 #include "net/topology.hh"
 #include "secure/pad_table.hh"
 
@@ -92,7 +91,6 @@ Flag switchFlag(std::string name, std::string help, bool &out);
 Flag scaleFlag(double &out);
 Flag gpusFlag(std::uint32_t &out);
 Flag topologyFlag(TopologyKind &out);
-Flag cryptoImplFlag(crypto::CryptoImpl &out);
 Flag simThreadsFlag(std::uint32_t &out);
 /** Repeatable; `--debug help` lists the trace flags and exits 0. */
 Flag debugFlag();

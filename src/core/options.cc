@@ -173,7 +173,6 @@ RunOptions::flags()
         .add(numberFlag("inter-bw", "F",
                         "hier: trunk port bytes/cycle (default 25)",
                         topo.interBytesPerCycle, 1e-3, 1e6))
-        .add(cryptoImplFlag(exp.cryptoImpl))
         .add(simThreadsFlag(exp.simThreads))
         // CI-only fault injector for the mgsec_report gate self-check.
         .add(numberFlag("debug-pad-stall-pct", "N", "",

@@ -105,8 +105,7 @@ SweepArgs::parseArgs(int argc, char **argv,
         }
     }
     MGSEC_ASSERT(added == optional.size(), "unknown optional sweep flag");
-    t.add(cryptoImplFlag(cryptoImpl))
-        .add(simThreadsFlag(simThreads))
+    t.add(simThreadsFlag(simThreads))
         .add(debugFlag())
         .check([this] { return topologyError(topology, gpus); });
     t.parseOrExit(argc, argv);
@@ -173,7 +172,6 @@ baselineKey(const std::string &workload, const ExperimentConfig &cfg)
 Sweep::Sweep(const SweepArgs &args)
     : Sweep(args.scale, args.seeds, args.jobs)
 {
-    crypto_impl_ = args.cryptoImpl;
     sim_threads_ = args.simThreads;
     if (!args.observeDir.empty())
         setObservability(args.observeDir);
@@ -208,7 +206,6 @@ Sweep::addNormalized(const std::string &workload,
 {
     MGSEC_ASSERT(!ran_, "Sweep::add after run()");
     cfg.scale = scale_;
-    cfg.cryptoImpl = crypto_impl_;
     cfg.simThreads = sim_threads_;
     norm_.push_back(NormRequest{workload, cfg, NormResult{}});
     return norm_.size() - 1;
@@ -219,7 +216,6 @@ Sweep::addRaw(const std::string &workload, ExperimentConfig cfg)
 {
     MGSEC_ASSERT(!ran_, "Sweep::add after run()");
     cfg.scale = scale_;
-    cfg.cryptoImpl = crypto_impl_;
     cfg.simThreads = sim_threads_;
     raw_.push_back(RawRequest{workload, cfg, RunResult{}});
     return raw_.size() - 1;

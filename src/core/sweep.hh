@@ -67,12 +67,6 @@ struct SweepArgs
     TopologyConfig topology{};
 
     /**
-     * Host crypto tier for every queued run (--crypto-impl). Speed
-     * knob only; any setting produces bit-identical sweep output.
-     */
-    crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
-
-    /**
      * Event-kernel worker threads per queued run (--sim-threads).
      * 0 = auto (MGSEC_SIM_THREADS, else 1). Speeds up a single
      * large simulation, where --jobs only helps across independent
@@ -84,7 +78,7 @@ struct SweepArgs
     /**
      * Parse argv into *this (current members are the defaults) with
      * Flags::parseOrExit(). Every bench and sweep tool takes --scale,
-     * --seeds, --jobs, --crypto-impl, --sim-threads and --debug;
+     * --seeds, --jobs, --sim-threads and --debug;
      * @p optional names its extra flags ("gpus", "json", "observe",
      * "shape", "workloads", "topology").
      */
@@ -174,7 +168,6 @@ class Sweep
     double scale_;
     int seeds_;
     unsigned jobs_;
-    crypto::CryptoImpl crypto_impl_ = crypto::CryptoImpl::Auto;
     std::uint32_t sim_threads_ = 0;
     unsigned resolved_jobs_ = 0;
     bool ran_ = false;

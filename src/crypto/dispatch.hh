@@ -8,8 +8,8 @@
  * never change a simulated result, only how fast the functional
  * pads/MACs are computed. Resolution order:
  *
- *   1. an explicit setCryptoImpl(Portable|Simd) call (the
- *      `--crypto-impl` flag, threaded through SecurityConfig);
+ *   1. an explicit setCryptoImpl(Portable|Simd) call (the crypto
+ *      tests and bench_hotpath's tier comparison);
  *   2. the MGSEC_CRYPTO_IMPL environment variable
  *      (`auto|portable|simd`);
  *   3. auto-detection: SIMD iff the binary carries the AES-NI/PCLMUL

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 
-#include "crypto/dispatch.hh"
 #include "secure/pad_table.hh"
 #include "sim/types.hh"
 
@@ -146,15 +145,6 @@ struct SecurityConfig
     std::array<std::uint8_t, 16> sessionKey{
         0x6d, 0x67, 0x73, 0x65, 0x63, 0x2d, 0x6b, 0x65,
         0x79, 0x2d, 0x76, 0x31, 0x00, 0x00, 0x00, 0x00};
-
-    /**
-     * Which crypto tier the functional plane runs on (Auto picks
-     * SIMD when the CPU has AES-NI/PCLMULQDQ). Host-side speed knob
-     * only: every tier produces bit-identical pads, MACs, and tags,
-     * and the timing model never touches it — so it stays out of
-     * configKey.
-     */
-    crypto::CryptoImpl cryptoImpl = crypto::CryptoImpl::Auto;
 
     bool secured() const { return scheme != OtpScheme::Unsecure; }
 
