@@ -107,8 +107,8 @@ TEST(WireObserver, SerialAndShardedAgreeOnFeatures)
 
 TEST(WireObserver, SwitchFabricsTagFlowsWithTheirOwnClasses)
 {
-    // A crossbar fabric carries no nvlink traffic: the empty class
-    // must dump as zeros, and GPU pairs must land in its switch or
+    // A crossbar fabric carries no nvlink traffic: the class must be
+    // absent from the dump, and GPU pairs must land in its switch or
     // trunk classes.
     for (const TopologyKind kind :
          {TopologyKind::NvSwitch, TopologyKind::Hier}) {
@@ -123,8 +123,9 @@ TEST(WireObserver, SwitchFabricsTagFlowsWithTheirOwnClasses)
         std::string err;
         ASSERT_TRUE(jsonParse(r.wire, doc, err)) << err;
         const JsonValue &feat = *doc.find("features");
-        EXPECT_EQ(feat.find("nvlink.packets")->asNumber(-1), 0.0);
-        EXPECT_EQ(feat.find("nvlink.utilCv")->asNumber(-1), 0.0);
+        EXPECT_EQ(feat.find("nvlink.packets"), nullptr);
+        EXPECT_EQ(feat.find("nvlink.utilCv"), nullptr);
+        EXPECT_EQ(doc.find("links")->find("nvlink"), nullptr);
         EXPECT_GT(feat.find("switch.packets")->asNumber(), 0.0);
         if (kind == TopologyKind::Hier) {
             EXPECT_GT(feat.find("inter.packets")->asNumber(), 0.0);
