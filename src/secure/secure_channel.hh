@@ -121,10 +121,14 @@ class SecureChannel : public SimObject
     }
     /// @}
 
-  private:
-    /** Deterministic plaintext both endpoints can reconstruct. */
+    /**
+     * Deterministic plaintext of message @p ctr from @p src to
+     * @p dst, which both endpoints can reconstruct.
+     */
     static crypto::BlockPayload synthesize(NodeId src, NodeId dst,
                                            std::uint64_t ctr);
+
+  private:
     /** Pad masking a batch's MAC, derivable from the batch id. */
     crypto::MessagePad batchMaskPad(NodeId sender, NodeId receiver,
                                     std::uint64_t batch_id) const;
