@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 
 #include "core/json_out.hh"
 #include "core/options.hh"
@@ -66,6 +67,15 @@ main(int argc, char **argv)
         std::cerr << "run did not complete\n";
         return 1;
     }
+    // Render what needs the primary system, then free it: the
+    // unsecure baseline below is the only system resident.
+    std::string stats;
+    if (!opts.statsOut.empty()) {
+        std::ostringstream os;
+        sys->dumpStats(os);
+        stats = os.str();
+    }
+    sys.reset();
 
     std::cout << "workload " << opts.workload << " on "
               << opts.exp.numGpus << " GPUs, scheme "
@@ -119,14 +129,14 @@ main(int argc, char **argv)
 
     if (!opts.statsOut.empty()) {
         if (opts.statsOut == "-") {
-            sys->dumpStats(std::cout);
+            std::cout << stats;
         } else {
             std::ofstream os(opts.statsOut);
             if (!os) {
                 std::cerr << "cannot write " << opts.statsOut << "\n";
                 return 1;
             }
-            sys->dumpStats(os);
+            os << stats;
             std::cout << "stats written to " << opts.statsOut << "\n";
         }
     }
