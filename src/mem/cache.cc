@@ -35,6 +35,9 @@ Cache::Cache(const std::string &name, EventQueue &eq, CacheParams params)
     block_shift_ = std::countr_zero(params_.blockSize);
     tag_shift_ = block_shift_ + std::countr_zero(num_sets_);
     granule_shift_ = std::countr_zero(std::max(kPageBytes, params_.blockSize));
+    // The tag shares its word with the valid and dirty bits.
+    MGSEC_ASSERT(tag_shift_ >= 2,
+                 "geometry too small: tags would reach the dirty bit");
     lines_.resize(blocks);
 
     regStat(hits_);
@@ -48,43 +51,41 @@ Cache::access(std::uint64_t addr, bool write)
 {
     AccessResult res;
     const std::uint32_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
+    const std::uint64_t want = kValid | tagOf(addr);
+    std::uint64_t *base =
+        &lines_[static_cast<std::size_t>(set) * params_.assoc];
+    const std::uint64_t dirty = write ? kDirty : 0;
 
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = ++lru_clock_;
-            line.dirty = line.dirty || write;
+    std::uint32_t w = 0;
+    for (; w < params_.assoc; ++w) {
+        const std::uint64_t word = base[w];
+        if ((word & kValid) == 0)
+            break; // valid lines are packed: the tag is absent
+        if ((word & ~kDirty) == want) {
+            std::copy_backward(base, base + w, base + w + 1);
+            base[0] = word | dirty;
             ++hits_;
             res.hit = true;
             return res;
         }
-        if (victim == nullptr || !line.valid ||
-            (victim->valid && line.valid &&
-             line.lruStamp < victim->lruStamp)) {
-            if (victim == nullptr || victim->valid)
-                victim = &line;
-        }
     }
 
     ++misses_;
-    MGSEC_ASSERT(victim != nullptr, "no victim line");
-    if (victim->valid) {
+    if (w == params_.assoc) {
+        // Full set: the last word is the least recently used line.
+        w = params_.assoc - 1;
+        const std::uint64_t victim = base[w];
         ++evictions_;
         res.evicted = true;
-        res.victimAddr = blockAddr(victim->tag, set);
-        res.victimDirty = victim->dirty;
-        if (victim->dirty)
+        res.victimAddr = blockAddr(victim & kTagMask, set);
+        res.victimDirty = (victim & kDirty) != 0;
+        if (res.victimDirty)
             ++writebacks_;
         filterRemove(res.victimAddr);
     }
     filterAdd(addr);
-    victim->valid = true;
-    victim->dirty = write;
-    victim->tag = tag;
-    victim->lruStamp = ++lru_clock_;
+    std::copy_backward(base, base + w, base + w + 1);
+    base[0] = want | dirty;
     return res;
 }
 
@@ -92,11 +93,13 @@ bool
 Cache::contains(std::uint64_t addr) const
 {
     const std::uint32_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    const Line *base =
+    const std::uint64_t want = kValid | tagOf(addr);
+    const std::uint64_t *base =
         &lines_[static_cast<std::size_t>(set) * params_.assoc];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if ((base[w] & kValid) == 0)
+            break;
+        if ((base[w] & ~kDirty) == want)
             return true;
     }
     return false;
@@ -106,12 +109,16 @@ bool
 Cache::invalidate(std::uint64_t addr)
 {
     const std::uint32_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
+    const std::uint64_t want = kValid | tagOf(addr);
+    std::uint64_t *base =
+        &lines_[static_cast<std::size_t>(set) * params_.assoc];
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].valid = false;
-            base[w].dirty = false;
+        if ((base[w] & kValid) == 0)
+            break;
+        if ((base[w] & ~kDirty) == want) {
+            // Close the gap so the valid words stay packed in order.
+            std::copy(base + w + 1, base + params_.assoc, base + w);
+            base[params_.assoc - 1] = 0;
             filterRemove(addr);
             return true;
         }

@@ -1,11 +1,19 @@
 /**
  * @file
- * Set-associative cache tag model with LRU replacement.
+ * Set-associative cache tag model with exact LRU replacement.
  *
  * A functional tag array: it answers hit/miss and performs fills and
  * evictions; latency is applied by the callers (the GPU model), which
  * matches how the paper's Table III caches contribute to the remote
  * access path.
+ *
+ * Each line is one 64-bit word (valid bit, dirty bit, tag), and each
+ * set keeps its words in recency order: the valid lines packed at the
+ * front, most recently used first. A hit rotates its word to slot 0;
+ * a miss fills the first invalid slot, or evicts the last word (the
+ * LRU line) when the set is full. Which way an invalid line occupies
+ * is never observable, so this is the same replacement as a
+ * per-line LRU timestamp, at a third of the storage.
  *
  * Page shootdowns (invalidateRange on every CU's L1 per migration)
  * are filtered: a small counting filter tracks how many resident
@@ -77,15 +85,22 @@ class Cache : public SimObject
     {
         return static_cast<std::uint64_t>(misses_.value());
     }
+    std::uint64_t evictions() const
+    {
+        return static_cast<std::uint64_t>(evictions_.value());
+    }
+    std::uint64_t writebacks() const
+    {
+        return static_cast<std::uint64_t>(writebacks_.value());
+    }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
+    /** @name Line word layout: valid, dirty, then the tag. */
+    /// @{
+    static constexpr std::uint64_t kValid = 1ULL << 63;
+    static constexpr std::uint64_t kDirty = 1ULL << 62;
+    static constexpr std::uint64_t kTagMask = kDirty - 1;
+    /// @}
 
     std::uint32_t setIndex(std::uint64_t addr) const
     {
@@ -134,8 +149,8 @@ class Cache : public SimObject
     unsigned block_shift_ = 0;   ///< log2(blockSize)
     unsigned tag_shift_ = 0;     ///< log2(blockSize * num_sets_)
     unsigned granule_shift_ = 0; ///< log2(max(kPageBytes, blockSize))
-    std::vector<Line> lines_;
-    std::uint64_t lru_clock_ = 0;
+    /** Line words, set-major; each set is MRU-first (see @file). */
+    std::vector<std::uint64_t> lines_;
     /** Resident blocks per page bucket; see bucketOf(). */
     std::array<std::uint8_t, 256> page_filter_{};
 

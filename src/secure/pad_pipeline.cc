@@ -37,6 +37,7 @@ PadPipeline::init(Tick now, Cycles latency, std::uint32_t quota,
     quota_ = quota;
     front_ctr_ = next_ctr;
     ready_.clear();
+    ready_.reserve(quota);
     for (std::uint32_t i = 0; i < quota; ++i)
         ready_.push_back(now + latency_);
     ondemand_free_ = now;
@@ -78,6 +79,7 @@ PadPipeline::resize(Tick now, std::uint32_t new_quota)
         ready_.pop_back();
         ++wasted_;
     }
+    ready_.reserve(new_quota);
     while (ready_.size() < new_quota)
         ready_.push_back(now + latency_);
     quota_ = new_quota;
@@ -90,8 +92,7 @@ PadPipeline::resync(Tick now, std::uint64_t next_ctr)
 {
     wasted_ += ready_.size();
     front_ctr_ = next_ctr;
-    for (std::size_t i = 0; i < ready_.size(); ++i)
-        ready_[i] = now + latency_;
+    ready_.fill(now + latency_);
     ondemand_free_ = now;
 }
 

@@ -19,9 +19,9 @@
 #define MGSEC_SECURE_PAD_PIPELINE_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "secure/otp_types.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace mgsec
@@ -89,8 +89,8 @@ class PadPipeline
     readyAt(Tick now) const
     {
         std::uint32_t n = 0;
-        for (Tick t : ready_)
-            n += t <= now ? 1 : 0;
+        for (std::size_t k = 0; k < ready_.size(); ++k)
+            n += ready_[k] <= now ? 1 : 0;
         return n;
     }
 
@@ -109,8 +109,11 @@ class PadPipeline
     Cycles latency_ = 40;
     std::uint32_t quota_ = 0;
     std::uint64_t front_ctr_ = 0;
-    /** ready_[k] = ready tick of the pad for counter front_ctr_+k. */
-    std::deque<Tick> ready_;
+    /**
+     * ready_[k] = ready tick of the pad for counter front_ctr_+k;
+     * exactly quota_ slots, so a claim recycles its slot in place.
+     */
+    Ring<Tick> ready_;
     /** Serialization point for quota-0 on-demand generation. */
     Tick ondemand_free_ = 0;
     /** Generations discarded unconsumed (resize shrink, resync). */

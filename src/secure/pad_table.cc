@@ -242,9 +242,10 @@ CachedPadTable::owned(NodeId peer, Direction d) const
 std::uint32_t
 CachedPadTable::padsReady(NodeId peer, Direction d, Tick now) const
 {
+    const Ring<Tick> &ready = pairs_[keyOf(peer, d)].ready;
     std::uint32_t n = 0;
-    for (Tick t : pairs_[keyOf(peer, d)].ready)
-        n += t <= now ? 1 : 0;
+    for (std::size_t k = 0; k < ready.size(); ++k)
+        n += ready[k] <= now ? 1 : 0;
     return n;
 }
 
@@ -350,8 +351,7 @@ CachedPadTable::acquireRecv(NodeId src, std::uint64_t ctr,
         // pipeline restarts.
         const Tick ready = now() + latency_;
         if (!ps.ready.empty() && ps.frontCtr == ctr) {
-            for (auto &t : ps.ready)
-                t = ready + latency_;
+            ps.ready.fill(ready + latency_);
             claimFrom(ps, now());
         } else if (ps.ready.empty() && grabEntry(key)) {
             ps.frontCtr = ctr + 1;
@@ -377,8 +377,7 @@ CachedPadTable::acquireRecv(NodeId src, std::uint64_t ctr,
 
     if (!ps.ready.empty()) {
         // Counter jump: every staged pad restarts at the new stream.
-        for (auto &r : ps.ready)
-            r = now() + latency_;
+        ps.ready.fill(now() + latency_);
         ps.frontCtr = ctr;
         ps.nextGenCtr = ctr + static_cast<std::uint64_t>(
                                   ps.ready.size());

@@ -4,16 +4,19 @@
  *
  * The sender keeps the MsgCTR of every message until the matching
  * ACK returns; the window is per destination. ACKs are cumulative
- * along a pair's in-order counter stream.
+ * along a pair's in-order counter stream. The capacity bounds the
+ * total across destinations, kept as a running count so a send does
+ * not sum N queues; a destination's queue allocates on first send.
  */
 
 #ifndef MGSEC_SECURE_REPLAY_WINDOW_HH
 #define MGSEC_SECURE_REPLAY_WINDOW_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace mgsec
@@ -34,9 +37,9 @@ class ReplayWindow
     add(NodeId dst, std::uint64_t ctr)
     {
         pending_[dst].push_back(ctr);
-        const std::size_t total = outstandingTotal();
-        peak_ = std::max(peak_, total);
-        if (total > capacity_) {
+        ++total_;
+        peak_ = std::max(peak_, total_);
+        if (total_ > capacity_) {
             ++overflows_;
             return true;
         }
@@ -53,6 +56,7 @@ class ReplayWindow
             q.pop_front();
             ++n;
         }
+        total_ -= n;
         return n;
     }
 
@@ -62,22 +66,17 @@ class ReplayWindow
         return pending_[dst].size();
     }
 
-    std::size_t
-    outstandingTotal() const
-    {
-        std::size_t total = 0;
-        for (const auto &q : pending_)
-            total += q.size();
-        return total;
-    }
+    std::size_t outstandingTotal() const { return total_; }
 
     std::size_t peak() const { return peak_; }
     std::uint64_t overflows() const { return overflows_; }
     std::uint32_t capacity() const { return capacity_; }
 
   private:
-    std::vector<std::deque<std::uint64_t>> pending_;
+    std::vector<Ring<std::uint64_t>> pending_;
     std::uint32_t capacity_;
+    /** Sum of pending_[*].size(). */
+    std::size_t total_ = 0;
     std::size_t peak_ = 0;
     std::uint64_t overflows_ = 0;
 };

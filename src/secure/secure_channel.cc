@@ -19,9 +19,10 @@ SecureChannel::SecureChannel(const std::string &name, EventQueue &eq,
       replay_(net.numNodes(), 16384),
       pending_acks_(net.numNodes()), ack_timers_(net.numNodes()),
       last_departure_(net.numNodes(), 0),
-      chaff_armed_(net.numNodes(), 0),
-      chaff_claims_(net.numNodes())
+      chaff_armed_(net.numNodes(), 0)
 {
+    if (chaffOn())
+        chaff_claims_.resize(net_.numNodes());
     if (cfg_.secured()) {
         pad_table_ = makePadTable(
             cfg_.scheme, name + ".pads", eq, self_, net_.numNodes(),

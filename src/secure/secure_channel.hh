@@ -22,7 +22,6 @@
 #ifndef MGSEC_SECURE_SECURE_CHANNEL_HH
 #define MGSEC_SECURE_SECURE_CHANNEL_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -34,6 +33,7 @@
 #include "secure/pad_table.hh"
 #include "secure/replay_window.hh"
 #include "secure/security_config.hh"
+#include "sim/ring.hh"
 #include "sim/sim_object.hh"
 
 namespace mgsec
@@ -241,9 +241,10 @@ class SecureChannel : public SimObject
      * high-water mark as "covered through here" would leave the
      * skipped slot empty — a wire-visible hole that scales with the
      * workload's idle-to-burst transitions. Pushed only while chaff
-     * is enabled; pruned by chaffTick as slots pass.
+     * is enabled; pruned by chaffTick as slots pass. Sized (one
+     * queue per peer) only when chaffOn().
      */
-    std::vector<std::deque<Tick>> chaff_claims_;
+    std::vector<Ring<Tick>> chaff_claims_;
     /**
      * Latest real (non-chaff) shaped activity at this node — its own
      * departures and every genuine arrival. Chaff stays armed while

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "secure/batching.hh"
@@ -286,6 +288,46 @@ TEST(ReplayWindow, PeakAndOverflowStats)
     EXPECT_EQ(w.peak(), 3u);
     w.ackUpTo(1, 2);
     EXPECT_EQ(w.peak(), 3u); // peak is sticky
+}
+
+TEST(ReplayWindow, RunningTotalMatchesRecount)
+{
+    // Random sends and cumulative ACKs on 8 peers against a recount
+    // of every per-peer queue: the running total, its peak and the
+    // overflow count all agree with the sums.
+    std::mt19937_64 rng(77);
+    const std::uint32_t peers = 8;
+    const std::uint32_t capacity = 40;
+    ReplayWindow w(peers, capacity);
+    std::vector<std::uint64_t> next_ctr(peers, 0);
+    std::size_t peak = 0;
+    std::uint64_t overflows = 0;
+    for (int op = 0; op < 20000; ++op) {
+        const NodeId peer = static_cast<NodeId>(rng() % peers);
+        if (rng() % 3 != 0) {
+            const bool over = w.add(peer, next_ctr[peer]++);
+            std::size_t recount = 0;
+            for (NodeId p = 0; p < peers; ++p)
+                recount += w.outstanding(p);
+            peak = std::max(peak, recount);
+            EXPECT_EQ(over, recount > capacity);
+            overflows += recount > capacity ? 1 : 0;
+        } else {
+            const std::uint64_t lag = rng() % 6;
+            const std::uint64_t upto =
+                next_ctr[peer] > lag ? next_ctr[peer] - lag : 0;
+            const std::size_t before = w.outstanding(peer);
+            const std::uint32_t acked = w.ackUpTo(peer, upto);
+            EXPECT_EQ(w.outstanding(peer), before - acked);
+        }
+        std::size_t sum = 0;
+        for (NodeId p = 0; p < peers; ++p)
+            sum += w.outstanding(p);
+        ASSERT_EQ(w.outstandingTotal(), sum) << "op " << op;
+    }
+    EXPECT_EQ(w.peak(), peak);
+    EXPECT_EQ(w.overflows(), overflows);
+    EXPECT_GT(overflows, 0u);
 }
 
 // -------------------------------------------- batching edge cases

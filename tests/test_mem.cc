@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -194,6 +195,201 @@ INSTANTIATE_TEST_SUITE_P(
         return "kib" + std::to_string(info.param.size / 1024) + "x" +
                std::to_string(info.param.assoc);
     });
+
+/**
+ * The stamp-based LRU tag array the line-word Cache replaced: every
+ * line carries a timestamp, a fill takes the first invalid way, else
+ * the way with the smallest stamp. Kept as an independent reference
+ * for the recency-ordered implementation.
+ */
+class StampCache
+{
+  public:
+    explicit StampCache(const CacheParams &p)
+        : p_(p), sets_(p.size / p.blockSize / p.assoc),
+          lines_(p.size / p.blockSize)
+    {}
+
+    Cache::AccessResult
+    access(std::uint64_t addr, bool write)
+    {
+        Cache::AccessResult res;
+        const std::uint64_t set = (addr / p_.blockSize) % sets_;
+        const std::uint64_t tag = addr / p_.blockSize / sets_;
+        Line *base = &lines_[set * p_.assoc];
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            Line &l = base[w];
+            if (l.valid && l.tag == tag) {
+                l.lruStamp = ++clock_;
+                l.dirty = l.dirty || write;
+                ++hits;
+                res.hit = true;
+                return res;
+            }
+            if (victim == nullptr ||
+                (victim->valid && (!l.valid || l.lruStamp < victim->lruStamp)))
+                victim = &l;
+        }
+        ++misses;
+        if (victim->valid) {
+            ++evictions;
+            res.evicted = true;
+            res.victimAddr = (victim->tag * sets_ + set) * p_.blockSize;
+            res.victimDirty = victim->dirty;
+            writebacks += victim->dirty ? 1 : 0;
+        }
+        *victim = Line{true, write, tag, ++clock_};
+        return res;
+    }
+
+    bool contains(std::uint64_t addr) { return find(addr) != nullptr; }
+
+    bool
+    invalidate(std::uint64_t addr)
+    {
+        Line *l = find(addr);
+        if (l == nullptr)
+            return false;
+        *l = Line{};
+        return true;
+    }
+
+    std::uint32_t
+    invalidateRange(std::uint64_t base, Bytes len)
+    {
+        std::uint32_t n = 0;
+        for (std::uint64_t a = base; a < base + len; a += p_.blockSize)
+            n += invalidate(a) ? 1 : 0;
+        return n;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t tag = 0;
+        std::uint64_t lruStamp = 0;
+    };
+
+    Line *
+    find(std::uint64_t addr)
+    {
+        const std::uint64_t set = (addr / p_.blockSize) % sets_;
+        const std::uint64_t tag = addr / p_.blockSize / sets_;
+        for (std::uint32_t w = 0; w < p_.assoc; ++w) {
+            Line &l = lines_[set * p_.assoc + w];
+            if (l.valid && l.tag == tag)
+                return &l;
+        }
+        return nullptr;
+    }
+
+    CacheParams p_;
+    std::uint64_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+/**
+ * Cache against StampCache under random access / invalidate /
+ * invalidateRange / contains traffic: every AccessResult field, every
+ * probe and every counter must agree.
+ */
+class CacheReference : public ::testing::TestWithParam<CacheParams>
+{};
+
+TEST_P(CacheReference, MatchesStampLru)
+{
+    const CacheParams geom = GetParam();
+    EventQueue eq;
+    Cache c("c", eq, geom);
+    StampCache ref(geom);
+    std::mt19937_64 rng(geom.size * 31 + geom.assoc);
+    const std::uint64_t sets = geom.size / geom.blockSize / geom.assoc;
+    // Hot traffic: a window of up to 128 adjacent sets (two pages of
+    // blocks) and three times as many tags as ways, so sets fill,
+    // hit and evict on every geometry; cold traffic: anywhere.
+    const std::uint64_t window = std::min<std::uint64_t>(sets, 128);
+    const std::uint64_t set0 = rng() % sets;
+    const auto addr = [&]() -> std::uint64_t {
+        if (rng() % 8 == 0)
+            return rng() % (geom.size * 2);
+        const std::uint64_t set = (set0 + rng() % window) % sets;
+        const std::uint64_t tag = rng() % (3 * geom.assoc);
+        return (tag * sets + set) * geom.blockSize +
+               rng() % geom.blockSize;
+    };
+
+    for (int op = 0; op < 200000; ++op) {
+        switch (rng() % 16) {
+          case 0: {
+            const std::uint64_t a = addr();
+            ASSERT_EQ(c.invalidate(a), ref.invalidate(a)) << "op " << op;
+            break;
+          }
+          case 1: {
+            const std::uint64_t base =
+                addr() / kPageBytes * kPageBytes + rng() % 3 * 1024;
+            const Bytes len = 1 + rng() % (2 * kPageBytes);
+            ASSERT_EQ(c.invalidateRange(base, len),
+                      ref.invalidateRange(base, len))
+                << "op " << op;
+            break;
+          }
+          case 2:
+          case 3: {
+            const std::uint64_t a = addr();
+            ASSERT_EQ(c.contains(a), ref.contains(a)) << "op " << op;
+            break;
+          }
+          default: {
+            const std::uint64_t a = addr();
+            const bool write = rng() % 4 == 0;
+            const Cache::AccessResult x = c.access(a, write);
+            const Cache::AccessResult y = ref.access(a, write);
+            ASSERT_EQ(x.hit, y.hit) << "op " << op;
+            ASSERT_EQ(x.evicted, y.evicted) << "op " << op;
+            ASSERT_EQ(x.victimAddr, y.victimAddr) << "op " << op;
+            ASSERT_EQ(x.victimDirty, y.victimDirty) << "op " << op;
+            break;
+          }
+        }
+    }
+    EXPECT_EQ(c.hits(), ref.hits);
+    EXPECT_EQ(c.misses(), ref.misses);
+    EXPECT_EQ(c.evictions(), ref.evictions);
+    EXPECT_EQ(c.writebacks(), ref.writebacks);
+    // The mix exercised every path.
+    EXPECT_GT(ref.hits, 0u);
+    EXPECT_GT(ref.writebacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReference,
+    ::testing::Values(
+        CacheParams{16 * 1024, 4, kBlockBytes, 1},         // CU L1
+        CacheParams{2 * 1024 * 1024, 16, kBlockBytes, 20}, // GPU L2
+        CacheParams{8 * 1024 * 1024, 16, kBlockBytes, 30}, // CPU LLC
+        CacheParams{16 * 1024, 1, kBlockBytes, 1},         // direct-mapped
+        CacheParams{4 * 1024, 64, kBlockBytes, 1}),        // fully assoc.
+    [](const ::testing::TestParamInfo<CacheParams> &info) {
+        return "kib" + std::to_string(info.param.size / 1024) + "x" +
+               std::to_string(info.param.assoc);
+    });
+
+TEST(CacheDeath, TagReachingDirtyBitRejected)
+{
+    // One set of 2-byte blocks leaves a 63-bit tag.
+    EventQueue eq;
+    EXPECT_DEATH(Cache("c", eq, CacheParams{2, 1, 2, 1}), "dirty bit");
+}
 
 TEST(Cache, ContainsHasNoSideEffects)
 {

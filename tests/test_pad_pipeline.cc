@@ -1,11 +1,17 @@
 /**
  * @file
- * PadPipeline tests: the staging-slot model behind every OTP scheme.
+ * PadPipeline tests: the staging-slot model behind every OTP scheme,
+ * and the Ring that holds its slots.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+
 #include "secure/pad_pipeline.hh"
+#include "sim/ring.hh"
 
 using namespace mgsec;
 
@@ -190,3 +196,208 @@ TEST_P(PipelineMonotone, ClaimReadyTimesAreNonDecreasing)
 
 INSTANTIATE_TEST_SUITE_P(Quotas, PipelineMonotone,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
+
+// ------------------------------------------- ring against a deque model
+
+TEST(Ring, RandomOpsMatchDeque)
+{
+    std::mt19937_64 rng(5);
+    Ring<std::uint64_t> ring;
+    std::deque<std::uint64_t> model;
+    EXPECT_EQ(ring.capacity(), 0u); // nothing allocated before use
+    for (int op = 0; op < 20000; ++op) {
+        const unsigned kind = rng() % 10;
+        if (kind < 4) {
+            const std::uint64_t v = rng();
+            ring.push_back(v);
+            model.push_back(v);
+        } else if (kind < 7 && !model.empty()) {
+            ring.pop_front();
+            model.pop_front();
+        } else if (kind == 7 && !model.empty()) {
+            ring.pop_back();
+            model.pop_back();
+        } else if (kind == 8) {
+            const std::uint64_t v = rng();
+            ring.fill(v);
+            std::fill(model.begin(), model.end(), v);
+        } else if (rng() % 64 == 0) {
+            ring.clear();
+            model.clear();
+        }
+        ASSERT_EQ(ring.size(), model.size()) << "op " << op;
+        for (std::size_t i = 0; i < model.size(); ++i)
+            ASSERT_EQ(ring[i], model[i]) << "op " << op << " i " << i;
+        if (!model.empty()) {
+            ASSERT_EQ(ring.front(), model.front());
+        }
+    }
+}
+
+TEST(Ring, FullRingCyclesInPlace)
+{
+    Ring<Tick> ring;
+    ring.reserve(3);
+    for (Tick t = 0; t < 3; ++t)
+        ring.push_back(t);
+    for (Tick t = 3; t < 100; ++t) {
+        EXPECT_EQ(ring.front(), t - 3);
+        ring.pop_front();
+        ring.push_back(t);
+        ASSERT_EQ(ring.capacity(), 3u);
+    }
+}
+
+namespace
+{
+
+/**
+ * The pipeline as a deque of ready ticks, counter order: the layout
+ * PadPipeline had before its staging slots became a fixed ring.
+ */
+struct DequePipeline
+{
+    Cycles latency = 40;
+    std::uint64_t frontCtr = 0;
+    std::deque<Tick> ready;
+    Tick ondemandFree = 0;
+    std::uint64_t wasted = 0;
+
+    void
+    init(Tick now, Cycles lat, std::uint32_t quota, std::uint64_t ctr)
+    {
+        latency = lat;
+        frontCtr = ctr;
+        ready.assign(quota, now + latency);
+        ondemandFree = now;
+    }
+
+    PadPipeline::Claim
+    claim(Tick now)
+    {
+        PadPipeline::Claim c;
+        c.ctr = frontCtr++;
+        if (ready.empty()) {
+            c.ready = std::max(now, ondemandFree) + latency;
+            ondemandFree = c.ready;
+            return c;
+        }
+        c.ready = ready.front();
+        ready.pop_front();
+        ready.push_back(std::max(now, c.ready) + latency);
+        return c;
+    }
+
+    void
+    resize(Tick now, std::uint32_t quota)
+    {
+        if (quota == ready.size())
+            return;
+        while (ready.size() > quota) {
+            ready.pop_back();
+            ++wasted;
+        }
+        while (ready.size() < quota)
+            ready.push_back(now + latency);
+        if (quota > 0)
+            ondemandFree = now;
+    }
+
+    void
+    resync(Tick now, std::uint64_t ctr)
+    {
+        wasted += ready.size();
+        frontCtr = ctr;
+        std::fill(ready.begin(), ready.end(), now + latency);
+        ondemandFree = now;
+    }
+
+    std::uint32_t
+    readyAt(Tick now) const
+    {
+        return static_cast<std::uint32_t>(
+            std::count_if(ready.begin(), ready.end(),
+                          [now](Tick t) { return t <= now; }));
+    }
+};
+
+void
+expectSameState(const PadPipeline &p, const DequePipeline &m, Tick now)
+{
+    EXPECT_EQ(p.quota(), m.ready.size());
+    EXPECT_EQ(p.nextCtr(), m.frontCtr);
+    EXPECT_EQ(p.frontReady(), m.ready.empty() ? MaxTick : m.ready.front());
+    EXPECT_EQ(p.wastedGenerations(), m.wasted);
+    EXPECT_EQ(p.readyAt(now), m.readyAt(now));
+}
+
+} // anonymous namespace
+
+TEST(PadPipelineRing, ResizeAfterWrapKeepsCounterOrder)
+{
+    PadPipeline p;
+    DequePipeline m;
+    p.init(0, 40, 3, 0);
+    m.init(0, 40, 3, 0);
+    Tick now = 0;
+    // Seven claims on three slots: the head has wrapped twice.
+    for (int i = 0; i < 7; ++i) {
+        now += 13;
+        const auto a = p.claim(now);
+        const auto b = m.claim(now);
+        ASSERT_EQ(a.ctr, b.ctr);
+        ASSERT_EQ(a.ready, b.ready);
+    }
+    for (std::uint32_t quota : {5u, 2u, 6u, 1u, 4u}) {
+        now += 7;
+        p.resize(now, quota);
+        m.resize(now, quota);
+        expectSameState(p, m, now);
+        for (std::uint32_t i = 0; i < quota + 2; ++i) {
+            now += 11;
+            const auto a = p.claim(now);
+            const auto b = m.claim(now);
+            ASSERT_EQ(a.ctr, b.ctr);
+            ASSERT_EQ(a.ready, b.ready);
+        }
+    }
+    now += 5;
+    p.resync(now, 900);
+    m.resync(now, 900);
+    expectSameState(p, m, now);
+}
+
+TEST(PadPipelineRing, RandomOpsMatchDequeModel)
+{
+    std::mt19937_64 rng(20240301);
+    for (int trial = 0; trial < 50; ++trial) {
+        PadPipeline p;
+        DequePipeline m;
+        const std::uint32_t quota0 = rng() % 6;
+        const Cycles lat = 1 + rng() % 60;
+        p.init(5, lat, quota0, 10);
+        m.init(5, lat, quota0, 10);
+        Tick now = 5;
+        for (int op = 0; op < 400; ++op) {
+            now += rng() % 30;
+            const unsigned kind = rng() % 16;
+            if (kind < 12) {
+                const auto a = p.claim(now);
+                const auto b = m.claim(now);
+                ASSERT_EQ(a.ctr, b.ctr) << "trial " << trial;
+                ASSERT_EQ(a.ready, b.ready) << "trial " << trial;
+            } else if (kind < 15) {
+                const std::uint32_t q = rng() % 9;
+                p.resize(now, q);
+                m.resize(now, q);
+            } else {
+                const std::uint64_t ctr = rng() % 1000;
+                p.resync(now, ctr);
+                m.resync(now, ctr);
+            }
+            expectSameState(p, m, now);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}

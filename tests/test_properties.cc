@@ -154,8 +154,9 @@ TEST_P(PadTableFuzz, RandomTrafficKeepsInvariants)
         const double sum = s.frac(d, OtpOutcome::Hit) +
                            s.frac(d, OtpOutcome::Partial) +
                            s.frac(d, OtpOutcome::Miss);
-        if (s.total(d) > 0)
+        if (s.total(d) > 0) {
             EXPECT_NEAR(sum, 1.0, 1e-9);
+        }
     }
 }
 

@@ -337,10 +337,11 @@ TEST(TopologyLookahead, MinLatencyBoundsEveryRoute)
         }
         for (NodeId src = 0; src < 9; ++src)
             for (NodeId dst = 0; dst < 9; ++dst)
-                if (src != dst)
+                if (src != dst) {
                     EXPECT_GE(arrival[src * 9 + dst], la)
                         << topologyKindName(kind) << " " << src
                         << "->" << dst;
+                }
     }
 }
 

@@ -218,8 +218,9 @@ TEST(TraceSource, BurstsShareDestination)
     ASSERT_TRUE(src.next(prev));
     const Cycles intra = p.phases[0].intraGap;
     while (src.next(cur)) {
-        if (cur.gap == intra)
+        if (cur.gap == intra) {
             EXPECT_EQ(cur.dst, prev.dst);
+        }
         prev = cur;
     }
 }

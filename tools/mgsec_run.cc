@@ -46,6 +46,21 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // Refuse an unwritable output before simulating anything.
+    const auto openOut = [](std::ofstream &os, const std::string &path) {
+        if (path.empty() || path == "-")
+            return true;
+        os.open(path);
+        if (!os)
+            std::cerr << "cannot write " << path << "\n";
+        return static_cast<bool>(os);
+    };
+    std::ofstream json_file;
+    std::ofstream stats_file;
+    if (!openOut(json_file, opts.jsonOut) ||
+        !openOut(stats_file, opts.statsOut))
+        return 1;
+
     auto build = [&](OtpScheme scheme, bool batching, bool observe) {
         ExperimentConfig e = opts.exp;
         e.scheme = scheme;
@@ -114,29 +129,14 @@ main(int argc, char **argv)
         }
     }
 
-    if (!opts.jsonOut.empty()) {
-        if (opts.jsonOut == "-") {
-            writeResultJson(std::cout, r);
-        } else {
-            std::ofstream os(opts.jsonOut);
-            if (!os) {
-                std::cerr << "cannot write " << opts.jsonOut << "\n";
-                return 1;
-            }
-            writeResultJson(os, r);
-        }
-    }
+    if (!opts.jsonOut.empty())
+        writeResultJson(opts.jsonOut == "-" ? std::cout : json_file, r);
 
     if (!opts.statsOut.empty()) {
         if (opts.statsOut == "-") {
             std::cout << stats;
         } else {
-            std::ofstream os(opts.statsOut);
-            if (!os) {
-                std::cerr << "cannot write " << opts.statsOut << "\n";
-                return 1;
-            }
-            os << stats;
+            stats_file << stats;
             std::cout << "stats written to " << opts.statsOut << "\n";
         }
     }
